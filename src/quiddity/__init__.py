@@ -8,6 +8,7 @@ from .matrices import (
     MatrixClass,
     NEG_IDENTITY,
     Word,
+    canonical_dihedral,
     canonical_rotation,
     classify_matrix,
     continuant,

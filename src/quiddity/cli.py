@@ -24,7 +24,7 @@ from .frieze import (
     is_totally_positive,
     render_text,
 )
-from .matrices import Mat2, Word, word_product
+from .matrices import Mat2, Word, canonical_dihedral, canonical_rotation, word_product
 from .surgery import NotASolutionError, SolutionClass, classify
 
 EXIT_OK = 0
@@ -70,8 +70,7 @@ def cmd_verify(args) -> int:
     s_count, r_count = cert.type1_count, cert.type2_count
     total = sum(word)
     expected = 3 * n - 6 * r_count - (3 if cls is SolutionClass.PROBLEM_III else 6)
-    bound = search.entry_bound(
-        cls if cls is not SolutionClass.PROBLEM_III else SolutionClass.PROBLEM_III, n)
+    bound = search.entry_bound(cls, n)
     index = sturm.rotation_index(word)
     payload = {
         "word": list(word),
@@ -98,7 +97,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    problem = {"1": "I", "2": "II", "3": "III"}.get(args.problem, args.problem)
+    problem = search._as_problem(args.problem)
     budget = args.budget
     if args.engine in ("gen", "both"):
         gen = search.generative_enumerate(problem, args.n, budget=budget)
@@ -112,19 +111,15 @@ def cmd_enumerate(args) -> int:
     else:
         result = gen if args.engine == "gen" else brute
     if args.orbits != "none":
-        reps = sorted({
-            min([w[k:] + w[:k] for k in range(len(w))]
-                + ([w[::-1][k:] + w[::-1][:k] for k in range(len(w))]
-                   if args.orbits == "dihedral" else []))
-            for w in result.words
-        })
-        shown: Sequence[Word] = reps
+        canonical = canonical_dihedral if args.orbits == "dihedral" else canonical_rotation
+        shown: Sequence[Word] = sorted({canonical(w) for w in result.words})
     else:
         shown = result.words
     if args.count:
-        _emit(args, {"problem": problem, "n": args.n, "count": len(shown)}, [str(len(shown))])
+        _emit(args, {"problem": problem.value, "n": args.n, "count": len(shown)},
+              [str(len(shown))])
     else:
-        _emit(args, {"problem": problem, "n": args.n,
+        _emit(args, {"problem": problem.value, "n": args.n,
                      "words": [list(w) for w in shown]},
               [",".join(map(str, w)) for w in shown])
     return EXIT_OK

@@ -25,7 +25,10 @@ def ceiling(default: int, override: int | None = None) -> int:
         return override
     env = os.environ.get(ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
     return default
 
 

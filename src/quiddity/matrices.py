@@ -91,9 +91,18 @@ def rotate(w: Sequence[int], k: int) -> Word:
 
 
 def canonical_rotation(w: Sequence[int]) -> Word:
-    """Lexicographically least rotation of w."""
+    """Lexicographically least rotation of w: the least length-n slice
+    of the doubled tuple."""
     word = tuple(w)
-    return min(rotate(word, k) for k in range(len(word)))
+    n = len(word)
+    doubled = word + word
+    return min([doubled[k:k + n] for k in range(n)])
+
+
+def canonical_dihedral(w: Sequence[int]) -> Word:
+    """Lexicographically least rotation of w or of its reversal."""
+    word = tuple(w)
+    return min(canonical_rotation(word), canonical_rotation(word[::-1]))
 
 
 def elementary(a: int) -> Mat2:

@@ -1,37 +1,36 @@
 """Two independent enumerators for the word equations.
 
 ``brute_force_enumerate`` walks all tuples below the proved entry bound
-and keeps those whose matrix lands on the target.  It prunes on the
-running entry sum (every solution satisfies sum <= 3n-6, respectively
-3n-3 for the trace-zero problem); the pruning is validated against the
-unpruned search in the test suite for small n.
+and the proved sum bound (every solution satisfies sum <= 3n-6,
+respectively 3n-3 for the trace-zero problem), carrying the running
+product as four integers.  For M = Id and M = -Id it meets in the
+middle: the left halves are indexed by the matrix the right half must
+equal, and the right halves are streamed against that index.  For
+trace zero, a condition no such index can match, it walks whole words
+depth first.  It uses only matrix products and the bounds, never the
+surgeries.  The sum bound is validated against the entry bound alone
+in the test suite for small n.
 
-``generative_enumerate`` grows the base solutions by the two surgeries
-and collects everything of the requested length.  The two enumerators
-must agree; that cross-check is the library's strongest self-test.
+``generative_enumerate`` grows the base solutions by the two surgeries,
+applied at every cyclic position of one representative per rotation
+class, and collects everything of the requested length.  The two
+enumerators must agree; that cross-check is the library's strongest
+self-test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator
 
 from . import limits
-from .matrices import (
-    IDENTITY,
-    Mat2,
-    NEG_IDENTITY,
-    Word,
-    canonical_rotation,
-    elementary,
-)
+from .matrices import Word, canonical_dihedral, canonical_rotation
 from .surgery import (
     BASES_CENTRAL,
     BASE_TRIANGLE,
     SolutionClass,
     apply_type1,
     apply_type2,
-    solution_class,
 )
 
 
@@ -51,12 +50,18 @@ class SolutionSet:
         return len(self.words)
 
 
+_NUMERALS = {"1": "I", "2": "II", "3": "III"}
+
+
 def _as_problem(problem: SolutionClass | str) -> SolutionClass:
+    """The problem named by a SolutionClass, "I".."III" in any case with
+    an optional "PROBLEM_" prefix, or "1".."3"."""
     if isinstance(problem, SolutionClass):
         if problem is SolutionClass.NOT_A_SOLUTION:
             raise ValueError("pick one of the problems I, II, III")
         return problem
-    return SolutionClass(str(problem).upper().lstrip("PROBLEM_"))
+    name = str(problem).upper().removeprefix("PROBLEM_")
+    return SolutionClass(_NUMERALS.get(name, name))
 
 
 def entry_bound(problem: SolutionClass, n: int) -> int:
@@ -73,12 +78,25 @@ def sum_bound(problem: SolutionClass, n: int) -> int:
     return 3 * n - 3 if problem is SolutionClass.PROBLEM_III else 3 * n - 6
 
 
-def _matches(problem: SolutionClass, m: Mat2) -> bool:
-    if problem is SolutionClass.PROBLEM_I:
-        return m == IDENTITY
-    if problem is SolutionClass.PROBLEM_II:
-        return m == NEG_IDENTITY
-    return m.trace() == 0
+def _walk(m: int, bound: int, cap: int) -> Iterator[tuple[Word, int, int, int, int]]:
+    """Every tuple of m >= 1 entries in 1..bound with entry sum <= cap, with
+    its product M = [[a, b], [c, d]] as (word, a, b, c, d).
+
+    The product is carried as four integers: appending x maps it to
+    E(x)*M = [[x*a - c, x*b - d], [a, b]].
+    """
+    stack = [((), 1, 0, 0, 1, cap)]
+    while stack:
+        word, a, b, c, d, room = stack.pop()
+        depth = len(word)
+        # every entry still to come after this one takes at least 1
+        top = min(bound, room - (m - depth - 1))
+        if depth == m - 1:
+            for x in range(1, top + 1):
+                yield word + (x,), x * a - c, x * b - d, a, b
+        else:
+            for x in range(1, top + 1):
+                stack.append((word + (x,), x * a - c, x * b - d, a, b, room - x))
 
 
 def brute_force_enumerate(
@@ -87,103 +105,102 @@ def brute_force_enumerate(
     budget: int | None = None,
     sum_prune: bool = True,
 ) -> SolutionSet:
-    """Exhaustive DFS over all candidate tuples of length n.
+    """Every tuple of length n below the proved entry bound whose matrix
+    lands on the target.
 
-    ``sum_prune=False`` disables the entry-sum cutoff; the tests use it
-    to certify that the pruned search misses nothing.
+    ``sum_prune=False`` caps the entry sum at ``bound * n``, which no
+    tuple below the entry bound exceeds, instead of at the proved sum
+    bound; the tests use it to certify that the pruned search misses
+    nothing.
     """
     problem = _as_problem(problem)
     limits.check_budget(n, limits.DEFAULT_BRUTE_FORCE_CEILING, budget, "brute-force search")
     if n < 1:
         raise ValueError("length must be >= 1")
     bound = entry_bound(problem, n)
-    smax = sum_bound(problem, n)
-    found: list[Word] = []
     if bound < 1:
         return SolutionSet(problem, n, ())
+    smax = sum_bound(problem, n) if sum_prune else bound * n
 
-    def extend(prefix: list[int], product: Mat2, total: int) -> None:
-        depth = len(prefix)
-        if depth == n:
-            if _matches(problem, product):
-                found.append(tuple(prefix))
-            return
-        remaining = n - depth - 1
-        for a in range(1, bound + 1):
-            if sum_prune and total + a + remaining > smax:
-                break
-            prefix.append(a)
-            extend(prefix, elementary(a) * product, total + a)
-            prefix.pop()
+    if problem is SolutionClass.PROBLEM_III:
+        found = [w for w, a, _, _, d in _walk(n, bound, smax) if a + d == 0]
+        return SolutionSet(problem, n, tuple(sorted(found)))
 
-    for a in range(1, bound + 1):
-        if sum_prune and a + n - 1 > smax:
-            break
-        extend([a], elementary(a), a)
-    return SolutionSet(problem, n, tuple(found))
+    # M(w) = M(right) * M(left), so M(w) = sign * Id exactly when
+    # M(right) = sign * M(left)^-1.  The shorter left half is indexed by
+    # that key and the right half is streamed against it; each half
+    # leaves room for the other's entries, at least 1 apiece.
+    sign = 1 if problem is SolutionClass.PROBLEM_I else -1
+    k = n // 2
+    index: dict[tuple[int, int, int, int], list[Word]] = {}
+    for left, a, b, c, d in _walk(k, bound, smax - (n - k)):
+        index.setdefault((sign * d, -sign * b, -sign * c, sign * a), []).append(left)
+    found = []
+    for right, a, b, c, d in _walk(n - k, bound, smax - k):
+        lefts = index.get((a, b, c, d))
+        if lefts:
+            room = smax - sum(right)
+            found.extend(left + right for left in lefts if sum(left) <= room)
+    return SolutionSet(problem, n, tuple(sorted(found)))
 
 
-def _all_surgeries(word: Word) -> Iterable[tuple[Word, int]]:
-    """Children of all rotations of a word, canonicalized, with the
-    length jump.  Working modulo rotation keeps the closure small; the
-    full rotation orbits are restored when a level is read out."""
-    n = len(word)
-    for k in range(n):
-        w = word[k:] + word[:k]
-        for i in range(n):
-            yield canonical_rotation(apply_type1(w, i)), 1
-        for i in range(n):
-            for a1 in range(1, w[i] + 1):
-                yield canonical_rotation(apply_type2(w, i, (a1, w[i] + 1 - a1))), 3
+def _closure(problem: SolutionClass, n_max: int) -> dict[int, dict[Word, int]]:
+    """Canonical rotations of every word the surgeries build from the
+    base words, up to length n_max, by length, each with the parity of
+    its type-2 steps.
+
+    A child of any rotation of a word is a rotation of a child of the
+    word itself (positions are cyclic and ``apply_type1`` handles the
+    wrap), so each representative is operated on once.  For the Id/-Id
+    problems the parity selects the problem (odd -> Id, even -> -Id);
+    parity is a word invariant, which the closure asserts as it
+    deduplicates.
+    """
+    if problem is SolutionClass.PROBLEM_III:
+        base = 2
+        levels = {base: {canonical_rotation(b): 0 for b in BASES_CENTRAL}}
+    else:
+        base = 3
+        levels = {base: {BASE_TRIANGLE: 0}}
+    for length in range(base, n_max):
+        for word, parity in levels.get(length, {}).items():
+            children = [(apply_type1(word, i), parity) for i in range(length)]
+            if length + 3 <= n_max:
+                children += [
+                    (apply_type2(word, i, (a1, word[i] + 1 - a1)), parity ^ 1)
+                    for i in range(length)
+                    for a1 in range(1, word[i] + 1)
+                ]
+            for child, child_parity in children:
+                child = canonical_rotation(child)
+                known = levels.setdefault(len(child), {}).setdefault(child, child_parity)
+                if known != child_parity:
+                    raise AssertionError(f"parity clash for {child}")
+    return levels
+
+
+def _level_words(
+    problem: SolutionClass, levels: dict[int, dict[Word, int]], n: int
+) -> tuple[Word, ...]:
+    """All rotations of the length-n representatives of one problem, sorted."""
+    at_n = levels.get(n, {})
+    if problem is SolutionClass.PROBLEM_III:
+        classes = list(at_n)
+    else:
+        wanted = 1 if problem is SolutionClass.PROBLEM_I else 0
+        classes = [w for w, parity in at_n.items() if parity == wanted]
+    return tuple(sorted({w[k:] + w[:k] for w in classes for k in range(n)}))
 
 
 def generative_enumerate(
     problem: SolutionClass | str, n: int, budget: int | None = None
 ) -> SolutionSet:
-    """Closure of the base words under the surgeries, cut at length n.
-
-    For the Id/-Id problems the parity of type-2 steps selects the
-    problem (odd -> Id, even -> -Id); parity is a word invariant, which
-    the closure asserts as it deduplicates.
-    """
+    """Closure of the base words under the surgeries, cut at length n."""
     problem = _as_problem(problem)
     limits.check_budget(n, limits.DEFAULT_GENERATIVE_CEILING, budget, "generative search")
     if n < 1:
         raise ValueError("length must be >= 1")
-
-    if problem is SolutionClass.PROBLEM_III:
-        levels: dict[int, dict[Word, int]] = {
-            2: {canonical_rotation(b): 0 for b in BASES_CENTRAL}
-        }
-    else:
-        levels = {3: {BASE_TRIANGLE: 0}}
-
-    for length in sorted(levels) + list(range(min(levels) + 1, n + 1)):
-        current = levels.get(length)
-        if not current or length >= n:
-            continue
-        for word, parity in current.items():
-            for child, jump in _all_surgeries(word):
-                child_len = length + jump
-                if child_len > n:
-                    continue
-                child_parity = parity ^ (jump == 3)
-                level = levels.setdefault(child_len, {})
-                known = level.get(child)
-                if known is None:
-                    level[child] = child_parity
-                elif known != child_parity:
-                    raise AssertionError(f"parity clash for {child}")
-
-    at_n = levels.get(n, {})
-    if problem is SolutionClass.PROBLEM_I:
-        classes = [w for w, parity in at_n.items() if parity == 1]
-    elif problem is SolutionClass.PROBLEM_II:
-        classes = [w for w, parity in at_n.items() if parity == 0]
-    else:
-        classes = list(at_n)
-    words = {w[k:] + w[:k] for w in classes for k in range(len(w))}
-    return SolutionSet(problem, n, tuple(sorted(words)))
+    return SolutionSet(problem, n, _level_words(problem, _closure(problem, n), n))
 
 
 def orbit_count(s: SolutionSet, symmetry: str = "rotation") -> int:
@@ -191,14 +208,8 @@ def orbit_count(s: SolutionSet, symmetry: str = "rotation") -> int:
     reflections ("dihedral")."""
     if symmetry not in ("rotation", "dihedral"):
         raise ValueError(f"unknown symmetry {symmetry!r}")
-    reps = set()
-    for word in s.words:
-        images = [word[k:] + word[:k] for k in range(len(word))]
-        if symmetry == "dihedral":
-            rev = word[::-1]
-            images += [rev[k:] + rev[:k] for k in range(len(rev))]
-        reps.add(min(images))
-    return len(reps)
+    canonical = canonical_dihedral if symmetry == "dihedral" else canonical_rotation
+    return len({canonical(w) for w in s.words})
 
 
 def count_table(
@@ -207,21 +218,23 @@ def count_table(
     budget: int | None = None,
     cross_check_up_to: int = 0,
 ) -> list[tuple[int, int]]:
-    """(n, solution count) for n up to n_max, from the generative search.
+    """(n, solution count) for n up to n_max, from one generative
+    closure built up to n_max.
 
     Lengths up to ``cross_check_up_to`` are recomputed by brute force
     and any disagreement raises.
     """
     problem = _as_problem(problem)
+    limits.check_budget(n_max, limits.DEFAULT_GENERATIVE_CEILING, budget, "generative search")
+    levels = _closure(problem, n_max)
     n_min = 2 if problem is SolutionClass.PROBLEM_III else 3
     table = []
     for n in range(n_min, n_max + 1):
-        gen = generative_enumerate(problem, n, budget=budget)
+        words = _level_words(problem, levels, n)
         if n <= cross_check_up_to:
-            brute = brute_force_enumerate(problem, n, budget=budget)
-            if brute.words != gen.words:
+            if brute_force_enumerate(problem, n, budget=budget).words != words:
                 raise AssertionError(
                     f"enumerator disagreement for {problem.value}, n={n}"
                 )
-        table.append((n, len(gen)))
+        table.append((n, len(words)))
     return table

@@ -68,6 +68,15 @@ def test_enumerate_budget_exceeded(capsys):
     assert "budget" in err.lower() or "ceiling" in err.lower()
 
 
+def test_enumerate_bad_budget_variable(capsys, monkeypatch):
+    monkeypatch.setenv("QUIDDITY_BUDGET", "abc")
+    code, out, err = run(capsys, "enumerate", "--problem", "II", "--n", "5", "--count")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "QUIDDITY_BUDGET" in lines[0] and "'abc'" in lines[0]
+
+
 def test_dissect_json(capsys):
     code, out, _ = run(capsys, "dissect", "1,3,1,2,2")
     assert code == 0

@@ -4,6 +4,7 @@ from quiddity.frieze import is_totally_positive
 from quiddity.limits import BudgetExceededError
 from quiddity.search import (
     SolutionClass,
+    _as_problem,
     brute_force_enumerate,
     count_table,
     entry_bound,
@@ -53,6 +54,16 @@ def test_oracle_equivalence():
             assert brute.words == gen.words, (problem, n)
 
 
+def test_oracles_agree_at_larger_n():
+    for problem, n_max, count in (("I", 12, 9647), ("II", 12, 17554), ("III", 8, 4472)):
+        start = 2 if problem == "III" else 3
+        for n in range(start, n_max + 1):
+            brute = brute_force_enumerate(problem, n)
+            gen = generative_enumerate(problem, n)
+            assert brute.words == gen.words, (problem, n)
+        assert len(gen) == count
+
+
 def test_sum_prune_misses_nothing():
     for problem in ("I", "II", "III"):
         for n in range(3, 7):
@@ -77,6 +88,15 @@ def test_orbit_counts():
         reps.add(min(images))
     assert len(reps) == 4
     assert (1, 1, 1, 1, 2, 3) in reps
+
+
+def test_problem_names():
+    for name in ("2", "ii", "II", "PROBLEM_II", SolutionClass.PROBLEM_II):
+        assert _as_problem(name) is SolutionClass.PROBLEM_II
+    assert _as_problem("3") is SolutionClass.PROBLEM_III
+    for name in ("BII", "LIII", "4", "none", SolutionClass.NOT_A_SOLUTION):
+        with pytest.raises(ValueError):
+            _as_problem(name)
 
 
 def test_orbit_count_rejects_bad_symmetry():
