@@ -40,6 +40,7 @@ from .search import (
     entry_bound,
     generative_enumerate,
     orbit_count,
+    orbit_representatives,
     sum_bound,
 )
 from .dissection import (

@@ -24,7 +24,7 @@ from .frieze import (
     is_totally_positive,
     render_text,
 )
-from .matrices import Mat2, Word, canonical_dihedral, canonical_rotation, word_product
+from .matrices import Mat2, Word, word_product
 from .surgery import NotASolutionError, SolutionClass, classify
 
 EXIT_OK = 0
@@ -111,8 +111,7 @@ def cmd_enumerate(args) -> int:
     else:
         result = gen if args.engine == "gen" else brute
     if args.orbits != "none":
-        canonical = canonical_dihedral if args.orbits == "dihedral" else canonical_rotation
-        shown: Sequence[Word] = sorted({canonical(w) for w in result.words})
+        shown: Sequence[Word] = search.orbit_representatives(result, args.orbits)
     else:
         shown = result.words
     if args.count:

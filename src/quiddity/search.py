@@ -3,11 +3,13 @@
 ``brute_force_enumerate`` walks all tuples below the proved entry bound
 and the proved sum bound (every solution satisfies sum <= 3n-6,
 respectively 3n-3 for the trace-zero problem), carrying the running
-product as four integers.  For M = Id and M = -Id it meets in the
-middle: the left halves are indexed by the matrix the right half must
-equal, and the right halves are streamed against that index.  For
-trace zero, a condition no such index can match, it walks whole words
-depth first.  It uses only matrix products and the bounds, never the
+product as four integers and multiplying by one ``elementary`` matrix
+per visited tuple.  For M = Id and M = -Id it meets in the middle: the
+left halves are indexed by the matrix the right half must equal, and
+the right halves are streamed against that index.  For trace zero, a
+condition no such index can match, it walks the first n-1 entries depth
+first and solves the trace condition, linear in the last entry, for
+it.  It uses only matrix products and the bounds, never the
 surgeries.  The sum bound is validated against the entry bound alone
 in the test suite for small n.
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import limits
-from .matrices import Word, canonical_dihedral, canonical_rotation
+from .matrices import Word, canonical_dihedral, canonical_rotation, elementary
 from .surgery import (
     BASES_CENTRAL,
     BASE_TRIANGLE,
@@ -78,25 +80,27 @@ def sum_bound(problem: SolutionClass, n: int) -> int:
     return 3 * n - 3 if problem is SolutionClass.PROBLEM_III else 3 * n - 6
 
 
-def _walk(m: int, bound: int, cap: int) -> Iterator[tuple[Word, int, int, int, int]]:
-    """Every tuple of m >= 1 entries in 1..bound with entry sum <= cap, with
-    its product M = [[a, b], [c, d]] as (word, a, b, c, d).
+def _walk(m: int, bound: int, cap: int) -> Iterator[tuple[Word, int, int, int, int, int]]:
+    """Every tuple of m >= 0 entries in 1..bound with entry sum <= cap, with
+    its product M = [[a, b], [c, d]] and the room left under the cap, as
+    (word, a, b, c, d, room).
 
-    The product is carried as four integers: appending x maps it to
-    E(x)*M = [[x*a - c, x*b - d], [a, b]].
+    The product is carried as four integers; appending x multiplies it by
+    E(x) on the left, one ``elementary`` per visited tuple.
     """
     stack = [((), 1, 0, 0, 1, cap)]
     while stack:
-        word, a, b, c, d, room = stack.pop()
+        node = stack.pop()
+        word, a, b, c, d, room = node
         depth = len(word)
+        if depth == m:
+            yield node
+            continue
         # every entry still to come after this one takes at least 1
-        top = min(bound, room - (m - depth - 1))
-        if depth == m - 1:
-            for x in range(1, top + 1):
-                yield word + (x,), x * a - c, x * b - d, a, b
-        else:
-            for x in range(1, top + 1):
-                stack.append((word + (x,), x * a - c, x * b - d, a, b, room - x))
+        for x in range(1, min(bound, room - (m - depth - 1)) + 1):
+            e = elementary(x)
+            stack.append((word + (x,), e.a * a + e.b * c, e.a * b + e.b * d,
+                          e.c * a + e.d * c, e.c * b + e.d * d, room - x))
 
 
 def brute_force_enumerate(
@@ -123,7 +127,20 @@ def brute_force_enumerate(
     smax = sum_bound(problem, n) if sum_prune else bound * n
 
     if problem is SolutionClass.PROBLEM_III:
-        found = [w for w, a, _, _, d in _walk(n, bound, smax) if a + d == 0]
+        # With P the first n-1 entries, trace M(P + (x,)) = x*a - c + b for
+        # M(P) = [[a, b], [c, d]], so the last entry is solved, not walked.
+        found = []
+        for prefix, a, b, c, d, room in _walk(n - 1, bound, smax - 1):
+            top = min(bound, room + 1)
+            if a:
+                x, rest = divmod(c - b, a)
+                lasts = (x,) if rest == 0 and 1 <= x <= top else ()
+            else:
+                lasts = range(1, top + 1)
+            for x in lasts:
+                e = elementary(x)
+                if e.a * a + e.b * c + e.c * b + e.d * d == 0:
+                    found.append(prefix + (x,))
         return SolutionSet(problem, n, tuple(sorted(found)))
 
     # M(w) = M(right) * M(left), so M(w) = sign * Id exactly when
@@ -133,10 +150,10 @@ def brute_force_enumerate(
     sign = 1 if problem is SolutionClass.PROBLEM_I else -1
     k = n // 2
     index: dict[tuple[int, int, int, int], list[Word]] = {}
-    for left, a, b, c, d in _walk(k, bound, smax - (n - k)):
+    for left, a, b, c, d, _ in _walk(k, bound, smax - (n - k)):
         index.setdefault((sign * d, -sign * b, -sign * c, sign * a), []).append(left)
     found = []
-    for right, a, b, c, d in _walk(n - k, bound, smax - k):
+    for right, a, b, c, d, _ in _walk(n - k, bound, smax - k):
         lefts = index.get((a, b, c, d))
         if lefts:
             room = smax - sum(right)
@@ -203,13 +220,19 @@ def generative_enumerate(
     return SolutionSet(problem, n, _level_words(problem, _closure(problem, n), n))
 
 
-def orbit_count(s: SolutionSet, symmetry: str = "rotation") -> int:
-    """Number of orbits of s.words under rotations, or rotations plus
-    reflections ("dihedral")."""
+def orbit_representatives(s: SolutionSet, symmetry: str = "rotation") -> list[Word]:
+    """The least member of each orbit of s.words under rotations, or
+    rotations plus reflections ("dihedral"), sorted."""
     if symmetry not in ("rotation", "dihedral"):
         raise ValueError(f"unknown symmetry {symmetry!r}")
     canonical = canonical_dihedral if symmetry == "dihedral" else canonical_rotation
-    return len({canonical(w) for w in s.words})
+    return sorted({canonical(w) for w in s.words})
+
+
+def orbit_count(s: SolutionSet, symmetry: str = "rotation") -> int:
+    """Number of orbits of s.words under rotations, or rotations plus
+    reflections ("dihedral")."""
+    return len(orbit_representatives(s, symmetry))
 
 
 def count_table(

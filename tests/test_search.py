@@ -10,6 +10,7 @@ from quiddity.search import (
     entry_bound,
     generative_enumerate,
     orbit_count,
+    orbit_representatives,
     sum_bound,
 )
 
@@ -55,13 +56,13 @@ def test_oracle_equivalence():
 
 
 def test_oracles_agree_at_larger_n():
-    for problem, n_max, count in (("I", 12, 9647), ("II", 12, 17554), ("III", 8, 4472)):
-        start = 2 if problem == "III" else 3
-        for n in range(start, n_max + 1):
+    # test_oracle_equivalence covers n <= 8
+    for problem, count in (("I", 9647), ("II", 17554)):
+        for n in range(9, 13):
             brute = brute_force_enumerate(problem, n)
-            gen = generative_enumerate(problem, n)
-            assert brute.words == gen.words, (problem, n)
-        assert len(gen) == count
+            assert brute.words == generative_enumerate(problem, n).words, (problem, n)
+        assert len(brute) == count
+    assert len(generative_enumerate("III", 8)) == 4472
 
 
 def test_sum_prune_misses_nothing():
@@ -97,6 +98,12 @@ def test_problem_names():
     for name in ("BII", "LIII", "4", "none", SolutionClass.NOT_A_SOLUTION):
         with pytest.raises(ValueError):
             _as_problem(name)
+
+
+def test_orbit_representatives():
+    s = generative_enumerate("II", 5)
+    assert orbit_representatives(s) == [(1, 2, 2, 1, 3)]
+    assert orbit_representatives(s, "dihedral") == [(1, 2, 2, 1, 3)]
 
 
 def test_orbit_count_rejects_bad_symmetry():
