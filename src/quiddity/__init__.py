@@ -58,6 +58,7 @@ from .dissection import (
     make_dissection,
     quiddity,
     symmetric_dissection,
+    symmetric_dissections,
 )
 from .sturm import BrokenLine, SLSequence, broken_line, iterate, rotation_index, wronskian
 from .frieze import (

@@ -142,7 +142,10 @@ def cmd_dissect(args) -> int:
         _emit(args, {"word": list(word), "class": "none"}, [f"{word}: not a solution"])
         return EXIT_DOMAIN
     if args.all:
-        found = dmod.dissections_with_quiddity(word, budget=args.budget)
+        if cls is SolutionClass.PROBLEM_III:
+            found = list(dmod.symmetric_dissections(word, budget=args.budget))
+        else:
+            found = dmod.dissections_with_quiddity(word, budget=args.budget)
         docs = [d.to_json() for d in found]
         _emit(args, {"word": list(word), "dissections": docs},
               [json.dumps(doc, sort_keys=True) for doc in docs])

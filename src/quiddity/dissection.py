@@ -6,6 +6,11 @@ one where every face has 3, 6, 9, ... vertices.  The quiddity of a
 3d-dissection is the tuple counting, at each vertex, the number of
 faces adjacent to it.
 
+Faces are built at most once per dissection.  The enumerator and
+``from_certificate`` already hold them and store them with the
+diagonals; a dissection built from diagonals alone walks them on first
+use.  Every constructor still checks that the diagonals do not cross.
+
 ``from_certificate`` rebuilds a dissection by replaying a reduction
 certificate: a type-1 step glues an exterior triangle, a type-2 step
 splits a boundary vertex and enlarges one incident face by three new
@@ -17,7 +22,7 @@ with that convention quiddity(from_certificate(reduce(w))) == w.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import limits
@@ -38,12 +43,39 @@ def _crossing(d1: Diagonal, d2: Diagonal) -> bool:
     return (i < k < j < l) or (k < i < l < j)
 
 
+def _nested(diags: list[Diagonal]) -> bool:
+    """True iff no two of the sorted diagonals cross.
+
+    Sweeping by first vertex, each diagonal must nest inside the
+    innermost diagonal still open there; the open ones sit on a stack
+    with their second vertices non-increasing from bottom to top, so a
+    diagonal goes below the ones that share its first vertex.
+    """
+    stack: list[Diagonal] = []
+    for i, j in diags:
+        while stack and stack[-1][1] <= i:
+            stack.pop()
+        k = len(stack)
+        while k and stack[k - 1][0] == i:
+            k -= 1
+        if k and stack[k - 1][1] < j:
+            return False
+        stack.insert(k, (i, j))
+    return True
+
+
 @dataclass(frozen=True)
 class Dissection:
-    """A convex n-gon dissected by pairwise non-crossing diagonals."""
+    """A convex n-gon dissected by pairwise non-crossing diagonals.
+
+    ``_faces`` caches the sorted canonical faces; it takes no part in
+    equality, hashing, ``repr`` or ``to_json``.
+    """
 
     n: int
     diagonals: frozenset[Diagonal]
+    _faces: Optional[tuple[Face, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -54,9 +86,9 @@ class Dissection:
                 raise ValueError(f"diagonal {(i, j)} must satisfy 0 <= i < j < n")
             if (j - i) % self.n in (1, self.n - 1):
                 raise ValueError(f"{(i, j)} is a boundary edge, not a diagonal")
-        for d1, d2 in itertools.combinations(diags, 2):
-            if _crossing(d1, d2):
-                raise ValueError(f"diagonals {d1} and {d2} cross")
+        if not _nested(diags):
+            d1, d2 = next(p for p in itertools.combinations(diags, 2) if _crossing(*p))
+            raise ValueError(f"diagonals {d1} and {d2} cross")
 
     def to_json(self) -> dict:
         return {"n": self.n, "diagonals": [list(d) for d in sorted(self.diagonals)]}
@@ -64,6 +96,14 @@ class Dissection:
     @staticmethod
     def from_json(doc: dict) -> "Dissection":
         return Dissection(int(doc["n"]), frozenset((int(i), int(j)) for i, j in doc["diagonals"]))
+
+
+def _with_faces(n: int, diagonals: Iterable[Diagonal], face_list: Iterable[Face]) -> Dissection:
+    """A validated Dissection with its face cache filled from the
+    canonical faces ``face_list``, so no reader walks the diagonals."""
+    d = Dissection(n, frozenset(diagonals))
+    object.__setattr__(d, "_faces", tuple(sorted(face_list)))
+    return d
 
 
 def make_dissection(n: int, diagonals: Iterable[Sequence[int]]) -> Dissection:
@@ -77,8 +117,8 @@ def _canonical_face(cycle: Sequence[int]) -> Face:
     return tuple(cycle[k:]) + tuple(cycle[:k])
 
 
-def faces(d: Dissection) -> list[Face]:
-    """The faces induced by the diagonals, each a cyclic vertex tuple."""
+def _walk_faces(d: Dissection) -> tuple[Face, ...]:
+    # split the polygon along one diagonal at a time until none is left
     result: list[Face] = []
     stack: list[tuple[int, ...]] = [tuple(range(d.n))]
     diags = sorted(d.diagonals)
@@ -102,17 +142,30 @@ def faces(d: Dissection) -> list[Face]:
     result.sort()
     if len(result) != len(d.diagonals) + 1:
         raise AssertionError("face count does not match diagonal count")
-    return result
+    return tuple(result)
+
+
+def _face_cache(d: Dissection) -> tuple[Face, ...]:
+    """The sorted faces of d, walked from the diagonals on first use only."""
+    if d._faces is None:
+        object.__setattr__(d, "_faces", _walk_faces(d))
+    return d._faces
+
+
+def faces(d: Dissection) -> list[Face]:
+    """The faces induced by the diagonals, each a cyclic vertex tuple,
+    as a fresh sorted list."""
+    return list(_face_cache(d))
 
 
 def is_3d_dissection(d: Dissection) -> bool:
     """True iff every face size is a multiple of 3."""
-    return all(len(f) % 3 == 0 for f in faces(d))
+    return all(len(f) % 3 == 0 for f in _face_cache(d))
 
 
 def profile(d: Dissection) -> tuple[int, ...]:
     """Sorted multiset of face sizes."""
-    return tuple(sorted(len(f) for f in faces(d)))
+    return tuple(sorted(len(f) for f in _face_cache(d)))
 
 
 def quiddity(d: Dissection) -> Word:
@@ -120,7 +173,7 @@ def quiddity(d: Dissection) -> Word:
     if not is_3d_dissection(d):
         raise ValueError("quiddity is only defined for 3d-dissections")
     counts = [0] * d.n
-    for f in faces(d):
+    for f in _face_cache(d):
         for v in f:
             counts[v] += 1
     return tuple(counts)
@@ -131,7 +184,7 @@ def even_face_parity(d: Dissection) -> str:
     solves Problem I, "even" means Problem II."""
     if not is_3d_dissection(d):
         raise ValueError("parity is only defined for 3d-dissections")
-    k = sum(1 for f in faces(d) if len(f) % 2 == 0)
+    k = sum(1 for f in _face_cache(d) if len(f) % 2 == 0)
     return "odd" if k % 2 == 1 else "even"
 
 
@@ -232,24 +285,29 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
     label = {v: k for k, v in enumerate(boundary)}
     n = len(boundary)
     diagonals = set()
-    for f in face_list:
-        cyc = [label[v] for v in f]
+    cycles = [[label[v] for v in f] for f in face_list]
+    for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if (b - a) % n not in (1, n - 1):
                 diagonals.add((min(a, b), max(a, b)))
-    return Dissection(n, frozenset(diagonals))
+    return _with_faces(n, diagonals, map(_canonical_face, cycles))
 
 
 # -- exhaustive enumeration --------------------------------------------------
 
 
-def _face_lists(poly: tuple[int, ...], allowed: frozenset[int]) -> Iterator[list[Face]]:
+def _face_lists(
+    poly: tuple[int, ...], allowed: frozenset[int],
+) -> Iterator[tuple[list[Face], list[Diagonal]]]:
     """All dissections of the sub-polygon ``poly`` into faces with sizes
-    in ``allowed``, grouped by the face containing edge (poly[0], poly[1])."""
+    in ``allowed``, grouped by the face containing edge (poly[0], poly[1]).
+
+    Each is yielded as its faces (vertices in increasing order, which is
+    the canonical rotation because ``poly`` runs counterclockwise) and
+    the diagonals cut inside ``poly``: one closing chord per arc of at
+    least three vertices that the face leaves over.
+    """
     m = len(poly)
-    if m < 3:
-        yield []
-        return
     for k in sorted(allowed):
         if k > m:
             break
@@ -257,21 +315,15 @@ def _face_lists(poly: tuple[int, ...], allowed: frozenset[int]) -> Iterator[list
             cuts = (1,) + rest
             arcs = [poly[cuts[t]:cuts[t + 1] + 1] for t in range(len(cuts) - 1)]
             arcs.append(poly[cuts[-1]:] + (poly[0],))
-            face = (poly[0],) + tuple(poly[c] for c in cuts)
+            arcs = [a for a in arcs if len(a) >= 3]
+            face = tuple(sorted((poly[0],) + tuple(poly[c] for c in cuts)))
+            chords = [(a[0], a[-1]) if a[0] < a[-1] else (a[-1], a[0]) for a in arcs]
             for parts in itertools.product(*(_face_lists(a, allowed) for a in arcs)):
-                out = [_canonical_face(face)]
-                for p in parts:
-                    out.extend(p)
-                yield out
-
-
-def _to_dissection(n: int, face_list: list[Face]) -> Dissection:
-    diagonals = set()
-    for f in face_list:
-        for a, b in zip(f, f[1:] + f[:1]):
-            if (b - a) % n not in (1, n - 1):
-                diagonals.add((min(a, b), max(a, b)))
-    return Dissection(n, frozenset(diagonals))
+                out_faces, out_diagonals = [face], chords[:]
+                for part_faces, part_diagonals in parts:
+                    out_faces.extend(part_faces)
+                    out_diagonals.extend(part_diagonals)
+                yield out_faces, out_diagonals
 
 
 def iter_dissections(
@@ -293,8 +345,8 @@ def iter_dissections(
         allowed = frozenset(face_sizes)
         if any(s % 3 != 0 or s < 3 for s in allowed):
             raise ValueError("face sizes must be multiples of 3")
-    for face_list in _face_lists(tuple(range(n)), allowed):
-        yield _to_dissection(n, face_list)
+    for face_list, diagonals in _face_lists(tuple(range(n)), allowed):
+        yield _with_faces(n, diagonals, face_list)
 
 
 def enumerate_dissections(
@@ -350,19 +402,22 @@ def dihedral_classes(ds: Iterable[Dissection]) -> list[Dissection]:
     return reps
 
 
-def symmetric_dissection(w: Sequence[int], budget: Optional[int] = None) -> Dissection:
-    """A centrally symmetric dissection of the 2n-gon whose half-quiddity
-    is the Problem III solution w, found by search over the doubled word."""
+def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> Iterator[Dissection]:
+    """The centrally symmetric dissections of the 2n-gon whose quiddity
+    is w + w for the Problem III solution w, in enumeration order."""
     word = check_word(w)
     double = word + word
     for d in iter_dissections(len(double), budget=budget):
-        try:
-            q = quiddity(d)
-        except ValueError:
-            continue
-        if q == double and is_centrally_symmetric(d):
-            return d
-    raise ValueError(f"no centrally symmetric dissection found for {word}")
+        if quiddity(d) == double and is_centrally_symmetric(d):
+            yield d
+
+
+def symmetric_dissection(w: Sequence[int], budget: Optional[int] = None) -> Dissection:
+    """A centrally symmetric dissection of the 2n-gon whose half-quiddity
+    is the Problem III solution w, found by search over the doubled word."""
+    for d in symmetric_dissections(w, budget=budget):
+        return d
+    raise ValueError(f"no centrally symmetric dissection found for {check_word(w)}")
 
 
 # -- rendering ----------------------------------------------------------------

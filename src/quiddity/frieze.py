@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dissection import Dissection, quiddity as dissection_quiddity
-from .matrices import Word, check_word, continuant
+from .matrices import Word, check_word
 from .surgery import NotASolutionError, SolutionClass, solution_class
 
 
@@ -60,11 +60,20 @@ def frieze(w: Sequence[int], r_max: Optional[int] = None) -> Frieze:
         r_max = n - 2 if cls is SolutionClass.PROBLEM_II else 2 * n - 2
     if r_max < 1:
         raise ValueError("need at least rows 0 and 1")
-    rows = tuple(
-        tuple(continuant(word[(i + k) % n] for k in range(r)) for i in range(n))
-        for r in range(r_max + 1)
-    )
-    return Frieze(word, rows)
+    return Frieze(word, tuple(_continuant_rows(word, r_max)))
+
+
+def _continuant_rows(word: Word, r_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..r_max of cyclic continuants, each from the two above it:
+    K_r(a_i..a_{i+r-1}) = a_{i+r-1} K_{r-1}(a_i..) - K_{r-2}(a_i..),
+    starting from the virtual row K_{-1} = 0.  No division, so rows
+    holding zeros are fine."""
+    n = len(word)
+    prev, cur = (0,) * n, (1,) * n
+    yield cur
+    for r in range(1, r_max + 1):
+        prev, cur = cur, tuple(word[(i + r - 1) % n] * cur[i] - prev[i] for i in range(n))
+        yield cur
 
 
 def check_diamond(f: Frieze) -> bool:
@@ -118,12 +127,8 @@ def is_totally_positive(w: Sequence[int]) -> bool:
         word = word + word
     elif cls is not SolutionClass.PROBLEM_II:
         raise NotASolutionError(word, "total positivity applies to Problem II or III solutions")
-    n = len(word)
-    for j in range(n - 2):
-        for i in range(n):
-            if continuant(word[(i + k) % n] for k in range(j + 1)) <= 0:
-                return False
-    return True
+    # row 0 is all 1s, so rows 0..n-2 are positive iff rows 1..n-2 are
+    return all(x > 0 for row in _continuant_rows(word, len(word) - 2) for x in row)
 
 
 def render_text(f: Frieze, periods: int = 2) -> str:

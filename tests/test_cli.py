@@ -91,6 +91,29 @@ def test_dissect_all(capsys):
     assert len(out.strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize("word, diagonal_sets", [
+    ("1,2", [[[1, 3]]]),
+    ("1,2,3", [[[1, 5], [2, 4], [2, 5]]]),
+    # 5 dissections of the 12-gon have quiddity w + w; 3 are centrally symmetric
+    ("1,2,1,2,1,2", [[[1, 11], [3, 9], [5, 7]], [[1, 3], [5, 11], [7, 9]],
+                     [[1, 7], [3, 5], [9, 11]]]),
+])
+def test_dissect_all_trace_zero(capsys, word, diagonal_sets):
+    # a Problem III word is carried by centrally symmetric 2n-gon dissections
+    code, out, _ = run(capsys, "dissect", word, "--all")
+    assert code == 0
+    n = 2 * len(word.split(","))
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"n": n, "diagonals": diagonals} for diagonals in diagonal_sets]
+
+
+def test_dissect_all_trace_zero_budget(capsys):
+    # the budget is checked against the 2n-gon that is searched
+    code, _, err = run(capsys, "dissect", "1,1,2,1,1,1,1,1", "--all", "--budget", "15")
+    assert code == 3
+    assert err.startswith("error:")
+
+
 def test_dissect_render_dot(capsys):
     code, out, _ = run(capsys, "dissect", "1,3,1,2,2", "--render", "dot")
     assert code == 0

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from quiddity.dissection import (
@@ -144,3 +147,83 @@ def test_render_smoke():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         next(iter_dissections(15))
+
+
+def _dissection_counts(n_max):
+    """[x^(n-1)] F for n = 3..n_max, where F = x + sum_{k>=1} F^(3k-1)
+    is the polygon-dissection equation for faces of 3, 6, 9, ... sides
+    (Flajolet-Sedgewick, Analytic Combinatorics, I.5)."""
+    top = n_max - 1  # highest power of x needed
+
+    def mul(a, b):
+        c = [0] * (top + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[:top + 1 - i]):
+                    c[i + j] += x * y
+        return c
+
+    f = [0, 1] + [0] * (top - 1)
+    for _ in range(top):  # each round fixes at least one more coefficient
+        square = mul(f, f)
+        g = [0, 1] + [0] * (top - 1)
+        power = square  # F^2, then F^5, F^8, ...
+        while any(power):
+            g = [x + y for x, y in zip(g, power)]
+            power = mul(mul(power, square), f)
+        f = g
+    return {n: f[n - 1] for n in range(3, n_max + 1)}
+
+
+def test_counts_match_generating_function():
+    expected = _dissection_counts(11)
+    assert (expected[6], expected[10], expected[11]) == (15, 2160, 7997)
+    for n, count in expected.items():
+        assert sum(1 for _ in iter_dissections(n)) == count
+
+
+def test_quiddities_are_exactly_the_solutions():
+    # the main theorem both ways: every quiddity solves I or II, and every
+    # solution is the quiddity of some 3d-dissection
+    for n in range(3, 11):
+        quiddities = set()
+        for d in iter_dissections(n):
+            quiddities.add(quiddity(d))
+            fresh = Dissection(d.n, d.diagonals)  # no face cache yet
+            assert fresh == d
+            assert (hash(fresh), repr(fresh), fresh.to_json()) == (hash(d), repr(d), d.to_json())
+            assert faces(fresh) == faces(d)
+        solutions = set(generative_enumerate("I", n).words) | set(generative_enumerate("II", n).words)
+        assert quiddities == solutions
+
+
+def test_certificate_faces_match_walk():
+    for problem in ("I", "II"):
+        for n in range(3, 9):
+            for w in generative_enumerate(problem, n).words:
+                d = from_certificate(reduce_word(w))
+                assert faces(d) == faces(make_dissection(d.n, d.diagonals))
+
+
+def test_faces_are_fresh_lists():
+    d = next(iter_dissections(6))
+    faces(d).clear()
+    assert len(faces(d)) == len(d.diagonals) + 1
+
+
+def test_validation_matches_pairwise_check():
+    # every set of heptagon diagonals: accepted iff no two cross, and a
+    # rejection names the first crossing pair in sorted order
+    n = 7
+    chords = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
+    for r in range(len(chords) + 1):
+        for subset in itertools.combinations(chords, r):
+            crossing = next(
+                ((a, b) for a, b in itertools.combinations(subset, 2)
+                 if a[0] < b[0] < a[1] < b[1]), None)
+            if crossing is None:
+                Dissection(n, frozenset(subset))
+            else:
+                message = f"diagonals {crossing[0]} and {crossing[1]} cross"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    Dissection(n, frozenset(subset))

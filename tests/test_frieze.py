@@ -10,6 +10,8 @@ from quiddity.frieze import (
     is_totally_positive,
     render_text,
 )
+from quiddity.matrices import continuant
+from quiddity.search import generative_enumerate
 from quiddity.surgery import NotASolutionError, SolutionClass, solution_class
 
 TRACE_ZERO_ROWS = (
@@ -107,3 +109,22 @@ def test_farey_small_orders():
     assert farey_quiddity(2) == (1, 1, 1)
     with pytest.raises(ValueError):
         farey_quiddity(1)
+
+
+def test_rows_match_continuants():
+    # rows come from the three-term recurrence; check every entry against
+    # a continuant computed from scratch, Problem III rows with their zeros
+    for problem, lengths in (("II", range(3, 10)), ("III", range(2, 7))):
+        for n in lengths:
+            for w in generative_enumerate(problem, n).words:
+                f = frieze(w)
+                assert f.rows == tuple(
+                    tuple(continuant(w[(i + k) % n] for k in range(r)) for i in range(n))
+                    for r in range(f.r_max + 1)
+                )
+                full = w + w if problem == "III" else w
+                m = len(full)
+                assert is_totally_positive(w) == all(
+                    continuant(full[(i + k) % m] for k in range(j + 1)) > 0
+                    for j in range(m - 2) for i in range(m)
+                )
