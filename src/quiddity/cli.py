@@ -25,7 +25,7 @@ from .frieze import (
     render_text,
 )
 from .matrices import Mat2, Word, word_product
-from .surgery import NotASolutionError, SolutionClass, classify
+from .surgery import NotASolutionError, SolutionClass, classify, reduce_word
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -152,7 +152,6 @@ def cmd_dissect(args) -> int:
         return EXIT_OK
     if cls is SolutionClass.PROBLEM_III:
         # the triangle-based replay needs an Id/-Id word; double first
-        from .surgery import reduce_word
         d = dmod.from_certificate(reduce_word(word + word))
     else:
         d = dmod.from_certificate(cert)
@@ -234,8 +233,16 @@ def cmd_farey(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line, exit code 2;
+    ``add_subparsers`` builds the subcommand parsers with this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="quiddity")
+    parser = _Parser(prog="quiddity")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

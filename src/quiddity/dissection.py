@@ -6,10 +6,10 @@ one where every face has 3, 6, 9, ... vertices.  The quiddity of a
 3d-dissection is the tuple counting, at each vertex, the number of
 faces adjacent to it.
 
-Faces are built at most once per dissection.  The enumerator and
-``from_certificate`` already hold them and store them with the
-diagonals; a dissection built from diagonals alone walks them on first
-use.  Every constructor still checks that the diagonals do not cross.
+Faces are built once per dissection, by the constructor: one sweep
+along the boundary checks that no two diagonals cross and collects the
+faces.  The enumerator, ``from_certificate`` and ``from_json`` hand over
+diagonals only, so every dissection gets its faces the same way.
 
 ``from_certificate`` rebuilds a dissection by replaying a reduction
 certificate: a type-1 step glues an exterior triangle, a type-2 step
@@ -43,39 +43,49 @@ def _crossing(d1: Diagonal, d2: Diagonal) -> bool:
     return (i < k < j < l) or (k < i < l < j)
 
 
-def _nested(diags: list[Diagonal]) -> bool:
-    """True iff no two of the sorted diagonals cross.
+def _sweep(n: int, diags: list[Diagonal]) -> Optional[tuple[Face, ...]]:
+    """The sorted faces of the n-gon cut by the sorted diagonals, each
+    with its vertices in increasing order; None if two diagonals cross.
 
-    Sweeping by first vertex, each diagonal must nest inside the
-    innermost diagonal still open there; the open ones sit on a stack
-    with their second vertices non-increasing from bottom to top, so a
-    diagonal goes below the ones that share its first vertex.
+    Walking the boundary from vertex 0, a diagonal (i, j) opens a face
+    at i and closes it at j.  Open faces nest, so a diagonal that ends
+    beyond the innermost open face crosses the diagonal that opened it.
     """
-    stack: list[Diagonal] = []
-    for i, j in diags:
-        while stack and stack[-1][1] <= i:
-            stack.pop()
-        k = len(stack)
-        while k and stack[k - 1][0] == i:
-            k -= 1
-        if k and stack[k - 1][1] < j:
-            return False
-        stack.insert(k, (i, j))
-    return True
+    far: dict[int, tuple[int, ...]] = {}
+    for i, j in reversed(diags):  # far ends from outermost to innermost
+        far[i] = far.get(i, ()) + (j,)
+    out: list[Face] = []
+    stack: list[tuple[list[int], int]] = []
+    face: list[int] = []
+    end = n  # the face on edge (n-1, 0) closes after the last vertex
+    for v in range(n):
+        while end == v:
+            face.append(v)
+            out.append(tuple(face))
+            face, end = stack.pop()
+        face.append(v)
+        for j in far.get(v, ()):
+            if j > end:
+                return None
+            stack.append((face, end))
+            face, end = [v], j
+    out.append(tuple(face))
+    out.sort()
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Dissection:
     """A convex n-gon dissected by pairwise non-crossing diagonals.
 
-    ``_faces`` caches the sorted canonical faces; it takes no part in
-    equality, hashing, ``repr`` or ``to_json``.
+    Construction validates the diagonals and builds the faces in one
+    sweep (``_sweep``).  ``_faces`` holds them sorted; it takes no part
+    in equality, hashing, ``repr`` or ``to_json``.
     """
 
     n: int
     diagonals: frozenset[Diagonal]
-    _faces: Optional[tuple[Face, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
+    _faces: tuple[Face, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -86,9 +96,11 @@ class Dissection:
                 raise ValueError(f"diagonal {(i, j)} must satisfy 0 <= i < j < n")
             if (j - i) % self.n in (1, self.n - 1):
                 raise ValueError(f"{(i, j)} is a boundary edge, not a diagonal")
-        if not _nested(diags):
+        found = _sweep(self.n, diags)
+        if found is None:
             d1, d2 = next(p for p in itertools.combinations(diags, 2) if _crossing(*p))
             raise ValueError(f"diagonals {d1} and {d2} cross")
+        object.__setattr__(self, "_faces", found)
 
     def to_json(self) -> dict:
         return {"n": self.n, "diagonals": [list(d) for d in sorted(self.diagonals)]}
@@ -98,74 +110,25 @@ class Dissection:
         return Dissection(int(doc["n"]), frozenset((int(i), int(j)) for i, j in doc["diagonals"]))
 
 
-def _with_faces(n: int, diagonals: Iterable[Diagonal], face_list: Iterable[Face]) -> Dissection:
-    """A validated Dissection with its face cache filled from the
-    canonical faces ``face_list``, so no reader walks the diagonals."""
-    d = Dissection(n, frozenset(diagonals))
-    object.__setattr__(d, "_faces", tuple(sorted(face_list)))
-    return d
-
-
 def make_dissection(n: int, diagonals: Iterable[Sequence[int]]) -> Dissection:
     """Build a Dissection, normalizing each diagonal to (min, max)."""
     return Dissection(n, frozenset((min(i, j), max(i, j)) for i, j in diagonals))
 
 
-def _canonical_face(cycle: Sequence[int]) -> Face:
-    # rotate the cycle so the smallest vertex comes first
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:]) + tuple(cycle[:k])
-
-
-def _walk_faces(d: Dissection) -> tuple[Face, ...]:
-    # split the polygon along one diagonal at a time until none is left
-    result: list[Face] = []
-    stack: list[tuple[int, ...]] = [tuple(range(d.n))]
-    diags = sorted(d.diagonals)
-    while stack:
-        poly = stack.pop()
-        pos = {v: k for k, v in enumerate(poly)}
-        m = len(poly)
-        for p, q in diags:
-            a, b = pos.get(p), pos.get(q)
-            if a is None or b is None:
-                continue
-            if a > b:
-                a, b = b, a
-            if (b - a) % m in (1, m - 1):
-                continue
-            stack.append(poly[a:b + 1])
-            stack.append(poly[b:] + poly[:a + 1])
-            break
-        else:
-            result.append(_canonical_face(poly))
-    result.sort()
-    if len(result) != len(d.diagonals) + 1:
-        raise AssertionError("face count does not match diagonal count")
-    return tuple(result)
-
-
-def _face_cache(d: Dissection) -> tuple[Face, ...]:
-    """The sorted faces of d, walked from the diagonals on first use only."""
-    if d._faces is None:
-        object.__setattr__(d, "_faces", _walk_faces(d))
-    return d._faces
-
-
 def faces(d: Dissection) -> list[Face]:
-    """The faces induced by the diagonals, each a cyclic vertex tuple,
-    as a fresh sorted list."""
-    return list(_face_cache(d))
+    """The faces induced by the diagonals, each a vertex tuple in
+    increasing (counterclockwise) order, as a fresh sorted list."""
+    return list(d._faces)
 
 
 def is_3d_dissection(d: Dissection) -> bool:
     """True iff every face size is a multiple of 3."""
-    return all(len(f) % 3 == 0 for f in _face_cache(d))
+    return all(len(f) % 3 == 0 for f in d._faces)
 
 
 def profile(d: Dissection) -> tuple[int, ...]:
     """Sorted multiset of face sizes."""
-    return tuple(sorted(len(f) for f in _face_cache(d)))
+    return tuple(sorted(len(f) for f in d._faces))
 
 
 def quiddity(d: Dissection) -> Word:
@@ -173,7 +136,7 @@ def quiddity(d: Dissection) -> Word:
     if not is_3d_dissection(d):
         raise ValueError("quiddity is only defined for 3d-dissections")
     counts = [0] * d.n
-    for f in _face_cache(d):
+    for f in d._faces:
         for v in f:
             counts[v] += 1
     return tuple(counts)
@@ -184,8 +147,14 @@ def even_face_parity(d: Dissection) -> str:
     solves Problem I, "even" means Problem II."""
     if not is_3d_dissection(d):
         raise ValueError("parity is only defined for 3d-dissections")
-    k = sum(1 for f in _face_cache(d) if len(f) % 2 == 0)
+    k = sum(1 for f in d._faces if len(f) % 2 == 0)
     return "odd" if k % 2 == 1 else "even"
+
+
+def _image(diagonals: Iterable[Diagonal], vertex_map: Callable[[int], int]) -> frozenset[Diagonal]:
+    """The diagonals moved by ``vertex_map``, each normalised to (min, max)."""
+    moved = ((vertex_map(i), vertex_map(j)) for i, j in diagonals)
+    return frozenset((a, b) if a < b else (b, a) for a, b in moved)
 
 
 def is_centrally_symmetric(d: Dissection) -> bool:
@@ -193,12 +162,7 @@ def is_centrally_symmetric(d: Dissection) -> bool:
     if d.n % 2 != 0:
         raise ValueError("central symmetry needs an even vertex count")
     h = d.n // 2
-
-    def shift(diag: Diagonal) -> Diagonal:
-        i, j = (diag[0] + h) % d.n, (diag[1] + h) % d.n
-        return (min(i, j), max(i, j))
-
-    return {shift(diag) for diag in d.diagonals} == set(d.diagonals)
+    return _image(d.diagonals, lambda v: (v + h) % d.n) == d.diagonals
 
 
 def half_quiddity(d: Dissection, start: int = 0) -> Word:
@@ -285,27 +249,23 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
     label = {v: k for k, v in enumerate(boundary)}
     n = len(boundary)
     diagonals = set()
-    cycles = [[label[v] for v in f] for f in face_list]
-    for cyc in cycles:
+    for f in face_list:
+        cyc = [label[v] for v in f]
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             if (b - a) % n not in (1, n - 1):
                 diagonals.add((min(a, b), max(a, b)))
-    return _with_faces(n, diagonals, map(_canonical_face, cycles))
+    return Dissection(n, frozenset(diagonals))
 
 
 # -- exhaustive enumeration --------------------------------------------------
 
 
-def _face_lists(
-    poly: tuple[int, ...], allowed: frozenset[int],
-) -> Iterator[tuple[list[Face], list[Diagonal]]]:
-    """All dissections of the sub-polygon ``poly`` into faces with sizes
-    in ``allowed``, grouped by the face containing edge (poly[0], poly[1]).
-
-    Each is yielded as its faces (vertices in increasing order, which is
-    the canonical rotation because ``poly`` runs counterclockwise) and
-    the diagonals cut inside ``poly``: one closing chord per arc of at
-    least three vertices that the face leaves over.
+def _diagonal_lists(poly: tuple[int, ...], allowed: frozenset[int]) -> Iterator[list[Diagonal]]:
+    """The diagonals of every dissection of the sub-polygon ``poly`` into
+    faces with sizes in ``allowed``, grouped by the face containing edge
+    (poly[0], poly[1]): one closing chord per arc of at least three
+    vertices that this face leaves over, then the diagonals cut inside
+    each arc.
     """
     m = len(poly)
     for k in sorted(allowed):
@@ -316,14 +276,12 @@ def _face_lists(
             arcs = [poly[cuts[t]:cuts[t + 1] + 1] for t in range(len(cuts) - 1)]
             arcs.append(poly[cuts[-1]:] + (poly[0],))
             arcs = [a for a in arcs if len(a) >= 3]
-            face = tuple(sorted((poly[0],) + tuple(poly[c] for c in cuts)))
             chords = [(a[0], a[-1]) if a[0] < a[-1] else (a[-1], a[0]) for a in arcs]
-            for parts in itertools.product(*(_face_lists(a, allowed) for a in arcs)):
-                out_faces, out_diagonals = [face], chords[:]
-                for part_faces, part_diagonals in parts:
-                    out_faces.extend(part_faces)
-                    out_diagonals.extend(part_diagonals)
-                yield out_faces, out_diagonals
+            for parts in itertools.product(*(_diagonal_lists(a, allowed) for a in arcs)):
+                out = chords[:]
+                for part in parts:
+                    out.extend(part)
+                yield out
 
 
 def iter_dissections(
@@ -345,8 +303,8 @@ def iter_dissections(
         allowed = frozenset(face_sizes)
         if any(s % 3 != 0 or s < 3 for s in allowed):
             raise ValueError("face sizes must be multiples of 3")
-    for face_list, diagonals in _face_lists(tuple(range(n)), allowed):
-        yield _with_faces(n, diagonals, face_list)
+    for diagonals in _diagonal_lists(tuple(range(n)), allowed):
+        yield Dissection(n, frozenset(diagonals))
 
 
 def enumerate_dissections(
@@ -389,12 +347,8 @@ def dihedral_classes(ds: Iterable[Dissection]) -> list[Dissection]:
         n = d.n
         images = set()
         for k in range(n):
-            images.add(frozenset(
-                (min((i + k) % n, (j + k) % n), max((i + k) % n, (j + k) % n))
-                for i, j in d.diagonals))
-            images.add(frozenset(
-                (min((k - i) % n, (k - j) % n), max((k - i) % n, (k - j) % n))
-                for i, j in d.diagonals))
+            images.add(_image(d.diagonals, lambda v: (v + k) % n))
+            images.add(_image(d.diagonals, lambda v: (k - v) % n))
         key = min(tuple(sorted(img)) for img in images)
         if key not in seen:
             seen.add(key)

@@ -209,18 +209,17 @@ def reduce_word(w: Sequence[int]) -> ReductionCertificate:
     """Deterministically reduce a solution word to its base.
 
     Scan order at each step: the first position (from 0) admitting an
-    inverse type-2, else the first admitting an inverse type-1.  Length
-    guards keep the intermediate words inside the solution sets: the
-    result of an inverse type-2 must have length >= 3 for Id/-Id words
-    and >= 2 for trace-zero words.
+    inverse type-2, else the first admitting an inverse type-1.  A length
+    guard keeps the intermediate words inside the solution sets: the
+    result of either inverse surgery must have length >= 3 for Id/-Id
+    words and >= 2 for trace-zero words.
     """
     word = check_word(w)
     cls = solution_class(word)
     if cls is SolutionClass.NOT_A_SOLUTION:
         raise NotASolutionError(word)
     central = cls is SolutionClass.PROBLEM_III
-    min_after_type2 = 2 if central else 3
-    min_after_type1 = 2 if central else 3
+    min_length = 2 if central else 3
 
     steps_reversed: list[SurgeryStep] = []
     cur = word
@@ -231,12 +230,12 @@ def reduce_word(w: Sequence[int]) -> ReductionCertificate:
         if not central and cur == BASE_TRIANGLE:
             break
         step = None
-        if n - 3 >= min_after_type2 and n >= 5:
+        if n - 3 >= min_length and n >= 5:
             for i in range(n):
                 if cur[i] == 1 and cur[(i + 1) % n] == 1:
                     cur, step = _inverse_type2(cur, i)
                     break
-        if step is None and n - 1 >= min_after_type1:
+        if step is None and n - 1 >= min_length:
             for i in range(n):
                 if cur[i] == 1 and cur[(i - 1) % n] >= 2 and cur[(i + 1) % n] >= 2:
                     cur, step = _inverse_type1(cur, i)

@@ -166,5 +166,15 @@ def test_farey_bad_order(capsys):
     assert code == 2
 
 
-def test_usage_error_from_argparse(capsys):
-    assert main(["no-such-command"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],
+    ["verify"],
+    ["--format", "xml", "verify", "1,1,1"],
+    ["enumerate", "--problem", "IV", "--n", "3"],
+], ids=["unknown-command", "missing-word", "bad-format", "bad-problem"])
+def test_usage_error_from_argparse(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ")

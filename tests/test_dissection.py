@@ -182,6 +182,20 @@ def test_counts_match_generating_function():
         assert sum(1 for _ in iter_dissections(n)) == count
 
 
+def _walked_faces(n, diagonals):
+    """Faces found without the constructor's sweep: split off the polygon
+    each diagonal closes, shortest arc first; the vertices still left on
+    the arc i..j of diagonal (i, j) form that polygon."""
+    removed = set()
+    out = []
+    for i, j in sorted(diagonals, key=lambda d: d[1] - d[0]):
+        face = tuple(v for v in range(i, j + 1) if v not in removed)
+        out.append(face)
+        removed.update(face[1:-1])
+    out.append(tuple(v for v in range(n) if v not in removed))
+    return sorted(out)
+
+
 def test_quiddities_are_exactly_the_solutions():
     # the main theorem both ways: every quiddity solves I or II, and every
     # solution is the quiddity of some 3d-dissection
@@ -189,10 +203,11 @@ def test_quiddities_are_exactly_the_solutions():
         quiddities = set()
         for d in iter_dissections(n):
             quiddities.add(quiddity(d))
-            fresh = Dissection(d.n, d.diagonals)  # no face cache yet
+            fresh = Dissection(d.n, d.diagonals)  # built again from its diagonals
             assert fresh == d
             assert (hash(fresh), repr(fresh), fresh.to_json()) == (hash(d), repr(d), d.to_json())
             assert faces(fresh) == faces(d)
+            assert faces(d) == _walked_faces(d.n, d.diagonals)
         solutions = set(generative_enumerate("I", n).words) | set(generative_enumerate("II", n).words)
         assert quiddities == solutions
 
@@ -203,6 +218,7 @@ def test_certificate_faces_match_walk():
             for w in generative_enumerate(problem, n).words:
                 d = from_certificate(reduce_word(w))
                 assert faces(d) == faces(make_dissection(d.n, d.diagonals))
+                assert faces(d) == _walked_faces(d.n, d.diagonals)
 
 
 def test_faces_are_fresh_lists():
