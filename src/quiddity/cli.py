@@ -25,7 +25,7 @@ from .frieze import (
     render_text,
 )
 from .matrices import Mat2, Word, word_product
-from .surgery import NotASolutionError, SolutionClass, classify, reduce_word
+from .surgery import NotASolutionError, SolutionClass, classify
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -150,12 +150,7 @@ def cmd_dissect(args) -> int:
         _emit(args, {"word": list(word), "dissections": docs},
               [json.dumps(doc, sort_keys=True) for doc in docs])
         return EXIT_OK
-    if cls is SolutionClass.PROBLEM_III:
-        # the triangle-based replay needs an Id/-Id word; double first
-        d = dmod.from_certificate(reduce_word(word + word))
-    else:
-        d = dmod.from_certificate(cert)
-    payload, lines = _render_dissection(args, d)
+    payload, lines = _render_dissection(args, dmod.from_certificate(cert))
     _emit(args, payload, lines)
     return EXIT_OK
 

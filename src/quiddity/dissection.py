@@ -10,25 +10,32 @@ Faces are built once per dissection, by the constructor: one sweep
 along the boundary checks that no two diagonals cross and collects the
 faces.  The enumerator, ``from_certificate`` and ``from_json`` hand over
 diagonals only, so every dissection gets its faces the same way.
+The searches for a given quiddity (``dissections_with_quiddity``,
+``symmetric_dissections``) walk the enumerator's choices but cut every
+branch whose face counts can no longer reach the word.
 
 ``from_certificate`` rebuilds a dissection by replaying a reduction
 certificate: a type-1 step glues an exterior triangle, a type-2 step
 splits a boundary vertex and enlarges one incident face by three new
 vertices.  The face enlarged by a type-2 step is the a'-th face around
 the split vertex, counted from the side of the preceding boundary edge;
-with that convention quiddity(from_certificate(reduce(w))) == w.
+with that convention quiddity(from_certificate(reduce(w))) == w.  A
+Problem III certificate starts from the square with one diameter and
+applies every step at two antipodal places, which builds a centrally
+symmetric 2n-gon with quiddity w + w.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import limits
 from .matrices import Word, check_word
 from .surgery import (
     BASE_TRIANGLE,
+    BASES_CENTRAL,
     ReductionCertificate,
     StepKind,
     SurgeryStep,
@@ -199,16 +206,42 @@ def _fan_at(face_list: list[list[int]], u: int, first: int, last: int) -> list[l
             return order
 
 
+def _antipodal_steps(cert: ReductionCertificate) -> Iterator[SurgeryStep]:
+    """The steps that rebuild w + w from base + base for the Problem III
+    certificate of w: each step at its position i and at i + h, where h
+    is the length of the half word so far, the later one first so that
+    i does not move."""
+    h = len(cert.base)
+    for step in cert.steps:
+        i = step.position
+        if step.kind is StepKind.TYPE1 and step.wrap:
+            # the 1 put in front of the word moves the mid-word copy to i + 1
+            yield replace(step, position=i + h)
+            yield replace(step, position=i + 1, wrap=0)
+        else:
+            # a split wrapping round the end has its copy mid-word, unwrapped
+            yield replace(step, position=i + h, wrap=0)
+            yield step
+        h += 1 if step.kind is StepKind.TYPE1 else 3
+
+
 def from_certificate(cert: ReductionCertificate) -> Dissection:
     """Replay a reduction certificate into a dissection whose quiddity
-    is the certificate's word."""
-    if cert.base != BASE_TRIANGLE:
-        raise ValueError("only triangle-based certificates build a dissection directly")
-    boundary: list[int] = [0, 1, 2]
-    face_list: list[list[int]] = [[0, 1, 2]]
-    fresh = itertools.count(3)
+    is the certificate's word w; for a Problem III certificate, into a
+    centrally symmetric dissection of the 2n-gon with quiddity w + w."""
+    steps: Iterable[SurgeryStep]
+    if cert.base == BASE_TRIANGLE:
+        boundary, face_list, steps = [0, 1, 2], [[0, 1, 2]], cert.steps
+    elif cert.base in BASES_CENTRAL:
+        # quiddity (1,2,1,2) has diameter (1,3), quiddity (2,1,2,1) has (0,2)
+        boundary = [0, 1, 2, 3]
+        face_list = [[0, 1, 3], [1, 2, 3]] if cert.base == (1, 2) else [[0, 1, 2], [0, 2, 3]]
+        steps = _antipodal_steps(cert)
+    else:
+        raise ValueError(f"no dissection replays a certificate with base {cert.base}")
+    fresh = itertools.count(len(boundary))
 
-    for step in cert.steps:
+    for step in steps:
         n = len(boundary)
         i = step.position
         if not 0 <= i < n:
@@ -284,6 +317,82 @@ def _diagonal_lists(poly: tuple[int, ...], allowed: frozenset[int]) -> Iterator[
                 yield out
 
 
+def _quiddity_lists(word: Word) -> Iterator[list[Diagonal]]:
+    """The diagonals of every 3d-dissection of the len(word)-gon whose
+    quiddity is ``word``, in the order ``_diagonal_lists`` yields them.
+
+    Pending arcs are split one at a time, the latest first, and each
+    face grows through its vertices in increasing order, so the choices
+    come in the order of the enumerator's nested products.  rem[v]
+    counts the faces vertex v still needs and pend[v] the pending arcs
+    that hold it.  Every pending arc gives each of its vertices at least
+    one face, so a branch is cut unless rem[v] >= pend[v], with
+    rem[v] == 0 once pend[v] == 0.  A face vertex's counts are settled
+    as soon as the face's next vertex is chosen, and it is tested then;
+    the vertices the face skips stay inside one arc and keep theirs.
+    """
+    n = len(word)
+    rem = list(word)
+    pend = [1] * n
+    pending = [tuple(range(n))]
+    chords: list[Diagonal] = []
+
+    def take(v: int, arcs: int) -> bool:
+        # v joins a face that leaves `arcs` pending arcs (0-2) next to it
+        rem[v] -= 1
+        pend[v] += arcs - 1
+        return pend[v] <= rem[v] and (pend[v] > 0 or rem[v] == 0)
+
+    def give(v: int, arcs: int) -> None:
+        rem[v] += 1
+        pend[v] -= arcs - 1
+
+    def grow(poly: tuple[int, ...], cuts: list[int], k: int) -> Iterator[list[Diagonal]]:
+        # cuts: the face's first vertices, as indices into poly; k: its size
+        m, a = len(poly), cuts[-1]
+        before = a - cuts[-2] >= 2
+        if len(cuts) == k:
+            after = m - a >= 2  # the arc closing back to poly[0]
+            # `&`, not `and`: both vertices are taken, and both given back below
+            if take(poly[a], before + after) & take(poly[0], after):
+                ends = cuts + [m]
+                arcs = [poly[x:y + 1] if y < m else poly[x:] + poly[:1]
+                        for x, y in zip(ends, ends[1:]) if y - x >= 2]
+                pending.extend(reversed(arcs))
+                chords.extend((c[0], c[-1]) if c[0] < c[-1] else (c[-1], c[0]) for c in arcs)
+                yield from split()
+                del pending[len(pending) - len(arcs):]
+                del chords[len(chords) - len(arcs):]
+            give(poly[a], before + after)
+            give(poly[0], after)
+            return
+        for b in range(a + 1, m - k + len(cuts) + 1):
+            arcs = before + (b - a >= 2)
+            if take(poly[a], arcs):
+                cuts.append(b)
+                yield from grow(poly, cuts, k)
+                cuts.pop()
+            give(poly[a], arcs)
+
+    def split() -> Iterator[list[Diagonal]]:
+        if not pending:
+            yield chords[:]
+            return
+        poly = pending.pop()
+        for k in range(3, len(poly) + 1, 3):
+            yield from grow(poly, [0, 1], k)
+        pending.append(poly)
+
+    return split()
+
+
+def _check_polygon(n: int, budget: Optional[int]) -> None:
+    """The budget and size checks every search over the n-gon makes first."""
+    limits.check_budget(n, limits.DEFAULT_DISSECTION_CEILING, budget, "dissection enumeration")
+    if n < 3:
+        raise ValueError("no polygon with fewer than 3 vertices")
+
+
 def iter_dissections(
     n: int,
     budget: Optional[int] = None,
@@ -294,9 +403,7 @@ def iter_dissections(
     ``face_sizes`` restricts the allowed face sizes (default: all
     multiples of 3 up to n).
     """
-    limits.check_budget(n, limits.DEFAULT_DISSECTION_CEILING, budget, "dissection enumeration")
-    if n < 3:
-        raise ValueError("no polygon with fewer than 3 vertices")
+    _check_polygon(n, budget)
     if face_sizes is None:
         allowed = frozenset(range(3, n + 1, 3))
     else:
@@ -331,12 +438,10 @@ def enumerate_dissections(
 
 def dissections_with_quiddity(w: Sequence[int], budget: Optional[int] = None) -> list[Dissection]:
     """All 3d-dissections of the len(w)-gon whose quiddity equals w
-    exactly (not up to rotation)."""
+    exactly (not up to rotation), in enumeration order."""
     word = check_word(w)
-    return [
-        d for d in iter_dissections(len(word), budget=budget)
-        if quiddity(d) == word
-    ]
+    _check_polygon(len(word), budget)
+    return [Dissection(len(word), frozenset(diagonals)) for diagonals in _quiddity_lists(word)]
 
 
 def dihedral_classes(ds: Iterable[Dissection]) -> list[Dissection]:
@@ -359,10 +464,11 @@ def dihedral_classes(ds: Iterable[Dissection]) -> list[Dissection]:
 def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> Iterator[Dissection]:
     """The centrally symmetric dissections of the 2n-gon whose quiddity
     is w + w for the Problem III solution w, in enumeration order."""
-    word = check_word(w)
-    double = word + word
-    for d in iter_dissections(len(double), budget=budget):
-        if quiddity(d) == double and is_centrally_symmetric(d):
+    double = check_word(w) * 2
+    _check_polygon(len(double), budget)
+    for diagonals in _quiddity_lists(double):
+        d = Dissection(len(double), frozenset(diagonals))
+        if is_centrally_symmetric(d):
             yield d
 
 

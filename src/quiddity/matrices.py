@@ -57,13 +57,6 @@ class Mat2:
 IDENTITY = Mat2(1, 0, 0, 1)
 NEG_IDENTITY = Mat2(-1, 0, 0, -1)
 
-#: The order-4 generator [[0,-1],[1,0]]; equals E(0).
-GEN_S = Mat2(0, -1, 1, 0)
-#: The transvection [[1,1],[0,1]].
-GEN_T = Mat2(1, 1, 0, 1)
-#: The order-6 generator [[1,-1],[1,0]]; equals E(1).
-GEN_L = Mat2(1, -1, 1, 0)
-
 
 class MatrixClass(enum.Enum):
     IDENTITY = "identity"

@@ -236,20 +236,7 @@ def conjecture_probe(word_length_bound: int, budget: Optional[int] = None) -> li
     """
     limits.check_budget(word_length_bound, limits.DEFAULT_DISSECTION_CEILING,
                         budget, "conjecture probe")
-    from .dissection import iter_dissections, quiddity as dq
     from .search import generative_enumerate
-
-    counts_by_n: dict[int, dict[Word, int]] = {}
-
-    def quiddity_count(word: Word) -> int:
-        n = len(word)
-        if n not in counts_by_n:
-            table: dict[Word, int] = {}
-            for d in iter_dissections(n, budget=budget):
-                q = dq(d)
-                table[q] = table.get(q, 0) + 1
-            counts_by_n[n] = table
-        return counts_by_n[n].get(word, 0)
 
     reports = []
     done = set()
@@ -269,7 +256,7 @@ def conjecture_probe(word_length_bound: int, budget: Optional[int] = None) -> li
                         "reduced": list(left),
                         "quiddity": list(u),
                         "index_twice": int(rotation_index(u) * 2),
-                        "dissections_found": quiddity_count(u),
+                        "dissections_found": len(dissections_with_quiddity(u, budget=budget)),
                     })
     reports.sort(key=lambda r: (len(r["quiddity"]), r["quiddity"], r["element"]))
     return reports

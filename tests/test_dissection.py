@@ -1,8 +1,10 @@
 import itertools
+import json
 import re
 
 import pytest
 
+from quiddity.cli import main
 from quiddity.dissection import (
     Dissection,
     dihedral_classes,
@@ -19,6 +21,7 @@ from quiddity.dissection import (
     profile,
     quiddity,
     symmetric_dissection,
+    symmetric_dissections,
     to_dot,
     to_svg,
 )
@@ -243,3 +246,58 @@ def test_validation_matches_pairwise_check():
                 message = f"diagonals {crossing[0]} and {crossing[1]} cross"
                 with pytest.raises(ValueError, match=re.escape(message)):
                     Dissection(n, frozenset(subset))
+
+
+def _filtered(n, key):
+    """The dissections of the n-gon grouped by ``key``, each group in
+    enumeration order: the filter the quiddity search replaced, run once
+    for every word of length n."""
+    groups = {}
+    for d in iter_dissections(n):
+        groups.setdefault(key(d), []).append(d)
+    return groups
+
+
+def test_search_equals_filter():
+    for n in range(3, 10):
+        by_quiddity = _filtered(n, quiddity)
+        for problem in ("I", "II"):
+            for w in generative_enumerate(problem, n).words:
+                assert dissections_with_quiddity(w) == by_quiddity[w]
+    for n in range(2, 6):
+        by_half = _filtered(2 * n, lambda d: quiddity(d)[:n] if is_centrally_symmetric(d) else None)
+        for w in generative_enumerate("III", n).words:
+            assert list(symmetric_dissections(w)) == by_half[w]
+
+
+def test_per_word_counts_sum_to_generating_function():
+    # every 3d-dissection carries exactly one solution of Problem I or II
+    expected = _dissection_counts(10)
+    for n, count in expected.items():
+        words = generative_enumerate("I", n).words + generative_enumerate("II", n).words
+        assert sum(len(dissections_with_quiddity(w)) for w in words) == count
+
+
+def _half_turn_invariant(n, diagonals):
+    """True iff turning the n-gon by half a turn fixes the diagonal set."""
+    h = n // 2
+    turned = {tuple(sorted(((i + h) % n, (j + h) % n))) for i, j in diagonals}
+    return n % 2 == 0 and turned == set(diagonals)
+
+
+def test_dissect_trace_zero_is_centrally_symmetric(capsys):
+    words = [w for n in range(2, 7) for w in generative_enumerate("III", n).words]
+    # the certificate of w + w builds a 12-gon that is not centrally symmetric
+    assert (1, 2, 1, 2, 1, 2) in words
+    for w in words:
+        assert main(["--format", "json", "dissect", ",".join(map(str, w))]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        diagonals = [tuple(d) for d in doc["diagonals"]]
+        assert doc["n"] == 2 * len(w)
+        assert _half_turn_invariant(doc["n"], diagonals)
+        walked = [0] * doc["n"]
+        for face in _walked_faces(doc["n"], diagonals):
+            for v in face:
+                walked[v] += 1
+        assert tuple(walked) == w + w
+        assert make_dissection(doc["n"], diagonals) in list(symmetric_dissections(w))
