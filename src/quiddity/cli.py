@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import dissection as dmod
 from . import limits, psl2, search, sturm
@@ -47,11 +47,13 @@ def _parse_word(text: str) -> Word:
     return entries
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
+    """Print the payload as JSON, or the text lines, which are only
+    formatted when text is asked for."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -64,7 +66,7 @@ def cmd_verify(args) -> int:
     cls, cert = classify(word)
     if cls is SolutionClass.NOT_A_SOLUTION:
         _emit(args, {"word": list(word), "class": "none"},
-              [f"{word}: not a solution (trace {word_product(word).trace()})"])
+              lambda: [f"{word}: not a solution (trace {word_product(word).trace()})"])
         return EXIT_DOMAIN
     n = len(word)
     s_count, r_count = cert.type1_count, cert.type2_count
@@ -83,7 +85,7 @@ def cmd_verify(args) -> int:
         "max_entry_bound": bound,
         "index_twice": int(index * 2),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"word {','.join(map(str, word))}",
         f"class: Problem {cls.value}",
         f"trace: {payload['trace']}",
@@ -91,8 +93,7 @@ def cmd_verify(args) -> int:
         f"sum = {total} (expected {expected}): {'ok' if total == expected else 'MISMATCH'}",
         f"max entry {max(word)} <= bound {bound}: {'ok' if max(word) <= bound else 'MISMATCH'}",
         f"rotation index: {_frac(index)}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 
@@ -105,7 +106,7 @@ def cmd_enumerate(args) -> int:
         brute = search.brute_force_enumerate(problem, args.n, budget=budget)
     if args.engine == "both":
         if gen.words != brute.words:
-            _emit(args, {"error": "engine mismatch"}, ["engine mismatch: brute != generative"])
+            _emit(args, {"error": "engine mismatch"}, lambda: ["engine mismatch: brute != generative"])
             return EXIT_DOMAIN
         result = gen
     else:
@@ -116,30 +117,30 @@ def cmd_enumerate(args) -> int:
         shown = result.words
     if args.count:
         _emit(args, {"problem": problem.value, "n": args.n, "count": len(shown)},
-              [str(len(shown))])
+              lambda: [str(len(shown))])
     else:
         _emit(args, {"problem": problem.value, "n": args.n,
                      "words": [list(w) for w in shown]},
-              [",".join(map(str, w)) for w in shown])
+              lambda: (",".join(map(str, w)) for w in shown))
     return EXIT_OK
 
 
-def _render_dissection(args, d) -> tuple[dict, list[str]]:
+def _render_dissection(args, d) -> tuple[dict, Callable[[], list[str]]]:
     if args.render == "dot":
-        return d.to_json(), [dmod.to_dot(d)]
+        return d.to_json(), lambda: [dmod.to_dot(d)]
     if args.render == "svg":
-        return d.to_json(), [dmod.to_svg(d)]
+        return d.to_json(), lambda: [dmod.to_svg(d)]
     doc = d.to_json()
     doc["faces"] = [list(f) for f in dmod.faces(d)]
     doc["quiddity"] = list(dmod.quiddity(d))
-    return doc, [json.dumps(doc, sort_keys=True)]
+    return doc, lambda: [json.dumps(doc, sort_keys=True)]
 
 
 def cmd_dissect(args) -> int:
     word = _parse_word(args.word)
     cls, cert = classify(word)
     if cls is SolutionClass.NOT_A_SOLUTION:
-        _emit(args, {"word": list(word), "class": "none"}, [f"{word}: not a solution"])
+        _emit(args, {"word": list(word), "class": "none"}, lambda: [f"{word}: not a solution"])
         return EXIT_DOMAIN
     if args.all:
         if cls is SolutionClass.PROBLEM_III:
@@ -148,10 +149,9 @@ def cmd_dissect(args) -> int:
             found = dmod.dissections_with_quiddity(word, budget=args.budget)
         docs = [d.to_json() for d in found]
         _emit(args, {"word": list(word), "dissections": docs},
-              [json.dumps(doc, sort_keys=True) for doc in docs])
+              lambda: (json.dumps(doc, sort_keys=True) for doc in docs))
         return EXIT_OK
-    payload, lines = _render_dissection(args, dmod.from_certificate(cert))
-    _emit(args, payload, lines)
+    _emit(args, *_render_dissection(args, dmod.from_certificate(cert)))
     return EXIT_OK
 
 
@@ -160,7 +160,7 @@ def cmd_frieze(args) -> int:
     try:
         f = build_frieze(word, r_max=args.rows)
     except NotASolutionError:
-        _emit(args, {"word": list(word), "class": "none"}, [f"{word}: not a solution"])
+        _emit(args, {"word": list(word), "class": "none"}, lambda: [f"{word}: not a solution"])
         return EXIT_DOMAIN
     tame = check_tame(f)
     diagnostics = {"tame": tame}
@@ -168,9 +168,13 @@ def cmd_frieze(args) -> int:
         diagnostics["glide"] = check_glide(f)
     doc = f.to_json()
     doc.update(diagnostics)
-    lines = [render_text(f), f"tame: {tame}"]
-    if "glide" in diagnostics:
-        lines.append(f"glide symmetric: {diagnostics['glide']}")
+
+    def lines():
+        yield render_text(f)
+        yield f"tame: {tame}"
+        if "glide" in diagnostics:
+            yield f"glide symmetric: {diagnostics['glide']}"
+
     _emit(args, doc, lines)
     return EXIT_OK
 
@@ -183,10 +187,10 @@ def cmd_decompose(args) -> int:
     m = Mat2(a, b, c, d)
     if m.det() != 1:
         raise UsageError(f"matrix must have determinant 1, got {m.det()}")
-    word = psl2.reduced_decomposition(m)
     q = psl2.element_quiddity(m)
-    index = psl2.element_index(m)
-    diss = psl2.element_dissection(m)
+    word = q.left  # the reduced decomposition of m
+    index = q.index()
+    diss = q.dissection()
     payload = {
         "matrix": m.rows(),
         "reduced": list(word),
@@ -195,13 +199,12 @@ def cmd_decompose(args) -> int:
         "dissection": diss.to_json(),
         "faces": sorted(len(f) for f in dmod.faces(diss)),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"reduced word: {','.join(map(str, word))}",
         f"quiddity: {','.join(map(str, q.combined))}",
         f"index: {_frac(index)}",
         f"dissection: {diss.n}-gon, faces {payload['faces']}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 
@@ -218,13 +221,12 @@ def cmd_farey(args) -> int:
         "sum_expected": 3 * len(word) - 6,
         "totally_positive": is_totally_positive(word),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"quiddity: {','.join(map(str, word))}",
         f"class: Problem {cls.value}",
         f"sum = {payload['sum']} (3n-6 = {payload['sum_expected']})",
         f"totally positive: {payload['totally_positive']}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ take part in the tameness diamonds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .dissection import Dissection, quiddity as dissection_quiddity
@@ -145,17 +144,34 @@ def render_text(f: Frieze, periods: int = 2) -> str:
 
 def farey_quiddity(order: int) -> Word:
     """Quiddity of the triangulated polygon on the Farey fractions of
-    the given order in [0,1], with unimodular pairs joined."""
+    the given order in [0,1], with unimodular pairs joined.
+
+    An in-order Stern-Brocot walk lists the fractions in increasing
+    order: each mediant (a+c)/(b+d) with b+d <= order lies between its
+    parents a/b and c/d, which are joined by a diagonal.  These are all
+    the unimodular pairs that are not polygon sides: the fractions
+    strictly between a unimodular pair include its mediant, and the
+    mediant's denominator is the smallest among them.  The root 1/2
+    joins 0/1 and 1/1, which is a side.
+    """
     if order < 2:
         raise ValueError("the Farey polygon needs order >= 2")
-    fracs = sorted({Fraction(p, q) for q in range(1, order + 1) for p in range(q + 1)})
-    n = len(fracs)
-    diagonals = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (j - i) % n in (1, n - 1):
-                continue
-            a, b = fracs[i], fracs[j]
-            if abs(a.numerator * b.denominator - b.numerator * a.denominator) == 1:
-                diagonals.add((i, j))
-    return dissection_quiddity(Dissection(n, frozenset(diagonals)))
+    fracs = [(0, 1)]
+    parents = []  # (left, right) of every mediant but the root
+    stack = []  # intervals whose mediant is not yet listed; depth <= order
+    left, right = (0, 1), (1, 1)
+    while True:
+        while left[1] + right[1] <= order:
+            stack.append((left, right))
+            right = (left[0] + right[0], left[1] + right[1])
+        if not stack:
+            break
+        left, right = stack.pop()
+        if (left, right) != ((0, 1), (1, 1)):
+            parents.append((left, right))
+        left = (left[0] + right[0], left[1] + right[1])
+        fracs.append(left)
+    fracs.append((1, 1))
+    position = {f: i for i, f in enumerate(fracs)}
+    diagonals = frozenset((position[a], position[b]) for a, b in parents)
+    return dissection_quiddity(Dissection(len(fracs), diagonals))

@@ -161,6 +161,14 @@ class ElementQuiddity:
     def combined(self) -> Word:
         return self.left + self.right
 
+    def index(self) -> Fraction:
+        """Rotation index of the combined quiddity."""
+        return rotation_index(self.combined)
+
+    def dissection(self) -> Dissection:
+        """The dissection the certificate of the combined quiddity builds."""
+        return from_certificate(reduce_word(self.combined))
+
 
 def element_quiddity(a) -> ElementQuiddity:
     m = _as_matrix(a)
@@ -174,11 +182,11 @@ def element_quiddity(a) -> ElementQuiddity:
 
 
 def element_dissection(a) -> Dissection:
-    return from_certificate(reduce_word(element_quiddity(a).combined))
+    return element_quiddity(a).dissection()
 
 
 def element_index(a) -> Fraction:
-    return rotation_index(element_quiddity(a).combined)
+    return element_quiddity(a).index()
 
 
 #: Entry ceiling for exhaustive reduced-word generation.  Entries of

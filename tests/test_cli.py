@@ -1,8 +1,13 @@
 import json
+import random
 
 import pytest
 
 from quiddity.cli import main
+from quiddity.dissection import faces
+from quiddity.frieze import frieze, render_text
+from quiddity.matrices import IDENTITY, NEG_IDENTITY, Mat2
+from quiddity.psl2 import element_dissection, element_index, element_quiddity, reduced_decomposition
 
 
 def run(capsys, *argv):
@@ -133,6 +138,15 @@ def test_frieze_text(capsys):
     assert len(out.strip().splitlines()) == 11  # 9 rows + 2 diagnostics
 
 
+def test_frieze_text_is_render_text(capsys):
+    for word, tail in (("1,1,2,1,1", "tame: True\nglide symmetric: True\n"),
+                       ("1,3,1,2,2", "tame: True\n")):
+        code, out, _ = run(capsys, "frieze", word)
+        assert code == 0
+        f = frieze(tuple(int(x) for x in word.split(",")))
+        assert out == render_text(f) + "\n" + tail
+
+
 def test_frieze_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "frieze", "1,3,1,2,2")
     assert code == 0
@@ -146,6 +160,34 @@ def test_decompose(capsys):
     assert code == 0
     assert "reduced word: 1,1,2,2" in out
     assert "index: 1" in out
+
+
+def _random_sl2(rng):
+    """A product of a few S = [[0,-1],[1,0]] and T^k factors, k in -3..3."""
+    m = IDENTITY
+    for _ in range(rng.randint(1, 6)):
+        factor = Mat2(0, -1, 1, 0) if rng.random() < 0.4 else Mat2(1, rng.randint(-3, 3), 0, 1)
+        m = m * factor
+    return -m if rng.random() < 0.5 else m
+
+
+def test_decompose_matches_library(capsys):
+    rng = random.Random(7)
+    matrices = [IDENTITY, NEG_IDENTITY] + [_random_sl2(rng) for _ in range(48)]
+    assert any(min(m.rows()[0] + m.rows()[1]) < 0 for m in matrices)
+    for m in matrices:
+        text = ",".join(str(x) for row in m.rows() for x in row)
+        code, out, _ = run(capsys, "--format", "json", "decompose", "--", text)
+        assert code == 0
+        d = element_dissection(m)
+        assert json.loads(out) == {
+            "matrix": m.rows(),
+            "reduced": list(reduced_decomposition(m)),
+            "quiddity": list(element_quiddity(m).combined),
+            "index_twice": int(element_index(m) * 2),
+            "dissection": d.to_json(),
+            "faces": sorted(len(f) for f in faces(d)),
+        }
 
 
 def test_decompose_bad_det(capsys):

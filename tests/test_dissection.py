@@ -152,10 +152,12 @@ def test_budget_guard():
         next(iter_dissections(15))
 
 
-def _dissection_counts(n_max):
-    """[x^(n-1)] F for n = 3..n_max, where F = x + sum_{k>=1} F^(3k-1)
+def _dissection_counts(n_max, sign=1):
+    """[x^(n-1)] F for n = 3..n_max, where F = x + sum_{k>=1} s_k F^(3k-1)
     is the polygon-dissection equation for faces of 3, 6, 9, ... sides
-    (Flajolet-Sedgewick, Analytic Combinatorics, I.5)."""
+    (Flajolet-Sedgewick, Analytic Combinatorics, I.5).  A face of 3k
+    sides has weight s_k = ``sign`` when 3k is even and 1 otherwise, so
+    sign=-1 counts each dissection as (-1)^(number of even faces)."""
     top = n_max - 1  # highest power of x needed
 
     def mul(a, b):
@@ -171,11 +173,20 @@ def _dissection_counts(n_max):
         square = mul(f, f)
         g = [0, 1] + [0] * (top - 1)
         power = square  # F^2, then F^5, F^8, ...
+        weight = 1  # s_1; the face sizes 3, 6, 9, ... alternate odd, even
         while any(power):
-            g = [x + y for x, y in zip(g, power)]
+            g = [x + weight * y for x, y in zip(g, power)]
             power = mul(mul(power, square), f)
+            weight = sign if weight == 1 else 1
         f = g
     return {n: f[n - 1] for n in range(3, n_max + 1)}
+
+
+def _odd_parity_counts(n_max):
+    """[x^(n-1)] (F_1 - F_{-1}) / 2: the 3d-dissections with an odd
+    number of even faces, i.e. those whose quiddity solves Problem I."""
+    plain, signed = _dissection_counts(n_max), _dissection_counts(n_max, sign=-1)
+    return {n: (plain[n] - signed[n]) // 2 for n in plain}
 
 
 def test_counts_match_generating_function():
@@ -183,6 +194,14 @@ def test_counts_match_generating_function():
     assert (expected[6], expected[10], expected[11]) == (15, 2160, 7997)
     for n, count in expected.items():
         assert sum(1 for _ in iter_dissections(n)) == count
+
+
+def test_parity_counts_match_signed_generating_function():
+    odd = _odd_parity_counts(12)
+    # the n = 12 split 12,377 / 17,706 of the 30,083 dissections
+    assert (odd[12], _dissection_counts(12)[12] - odd[12]) == (12377, 17706)
+    for n in range(3, 12):
+        assert sum(1 for d in iter_dissections(n) if even_face_parity(d) == "odd") == odd[n]
 
 
 def _walked_faces(n, diagonals):
@@ -271,11 +290,14 @@ def test_search_equals_filter():
 
 
 def test_per_word_counts_sum_to_generating_function():
-    # every 3d-dissection carries exactly one solution of Problem I or II
-    expected = _dissection_counts(10)
+    # every 3d-dissection carries exactly one solution of Problem I or II,
+    # of Problem I exactly when it has an odd number of even faces
+    expected, odd = _dissection_counts(10), _odd_parity_counts(10)
     for n, count in expected.items():
-        words = generative_enumerate("I", n).words + generative_enumerate("II", n).words
-        assert sum(len(dissections_with_quiddity(w)) for w in words) == count
+        per_problem = {p: sum(len(dissections_with_quiddity(w))
+                              for w in generative_enumerate(p, n).words)
+                       for p in ("I", "II")}
+        assert per_problem == {"I": odd[n], "II": count - odd[n]}
 
 
 def _half_turn_invariant(n, diagonals):

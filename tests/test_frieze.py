@@ -1,5 +1,9 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
+from quiddity.dissection import Dissection, quiddity
 from quiddity.frieze import (
     Frieze,
     check_diamond,
@@ -109,6 +113,34 @@ def test_farey_small_orders():
     assert farey_quiddity(2) == (1, 1, 1)
     with pytest.raises(ValueError):
         farey_quiddity(1)
+
+
+def _farey_quiddity_pairwise(order):
+    """The Farey polygon by definition: every unimodular pair of
+    fractions in F_order that is not a polygon side is a diagonal."""
+    fracs = sorted({Fraction(p, q) for q in range(1, order + 1) for p in range(q + 1)})
+    n = len(fracs)
+    diagonals = frozenset(
+        (i, j) for i in range(n) for j in range(i + 2, n)
+        if j - i != n - 1
+        and abs(fracs[i].numerator * fracs[j].denominator
+                - fracs[j].numerator * fracs[i].denominator) == 1)
+    return quiddity(Dissection(n, diagonals))
+
+
+def test_farey_walk_matches_pairwise_definition():
+    for order in range(2, 26):
+        assert farey_quiddity(order) == _farey_quiddity_pairwise(order)
+
+
+def test_farey_large_order():
+    # |F_200| = 1 + sum of Euler's phi(k) for k <= 200
+    w = farey_quiddity(200)
+    phi_sum = sum(1 for q in range(1, 201) for p in range(1, q + 1) if gcd(p, q) == 1)
+    assert len(w) == 1 + phi_sum == 12233
+    assert sum(w) == 3 * len(w) - 6
+    # the product class, not the certificate: reduce_word is quadratic in the length
+    assert solution_class(w) in (SolutionClass.PROBLEM_I, SolutionClass.PROBLEM_II)
 
 
 def test_rows_match_continuants():
