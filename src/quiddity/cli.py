@@ -25,7 +25,7 @@ from .frieze import (
     render_text,
 )
 from .matrices import Mat2, Word, word_product
-from .surgery import NotASolutionError, SolutionClass, classify
+from .surgery import NotASolutionError, SolutionClass, classify, solution_class
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -212,7 +212,7 @@ def cmd_farey(args) -> int:
     if args.order < 2:
         raise UsageError("order must be >= 2")
     word = farey_quiddity(args.order)
-    cls, cert = classify(word)
+    cls = solution_class(word)
     payload = {
         "order": args.order,
         "word": list(word),

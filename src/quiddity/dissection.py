@@ -15,14 +15,16 @@ The searches for a given quiddity (``dissections_with_quiddity``,
 branch whose face counts can no longer reach the word.
 
 ``from_certificate`` rebuilds a dissection by replaying a reduction
-certificate: a type-1 step glues an exterior triangle, a type-2 step
-splits a boundary vertex and enlarges one incident face by three new
-vertices.  The face enlarged by a type-2 step is the a'-th face around
-the split vertex, counted from the side of the preceding boundary edge;
-with that convention quiddity(from_certificate(reduce(w))) == w.  A
-Problem III certificate starts from the square with one diameter and
-applies every step at two antipodal places, which builds a centrally
-symmetric 2n-gon with quiddity w + w.
+certificate on the boundary and the diagonals alone.  A type-1 step
+glues an exterior triangle, so the boundary edge it sits on becomes a
+diagonal.  A type-2 step with split (a', a'') replaces a boundary vertex
+u by u, x, y, u'' and so enlarges the a'-th face around u, counted from
+the side of the preceding boundary edge, by three vertices: of u's
+diagonals, taken from that side, the first a' - 1 stay at u and the rest
+move to u''.  With that convention quiddity(from_certificate(reduce(w)))
+== w.  A Problem III certificate starts from the square with one
+diameter and applies every step at two antipodal places, which builds a
+centrally symmetric 2n-gon with quiddity w + w.
 """
 
 from __future__ import annotations
@@ -187,25 +189,6 @@ def half_quiddity(d: Dissection, start: int = 0) -> Word:
 # -- construction from a reduction certificate ------------------------------
 
 
-def _fan_at(face_list: list[list[int]], u: int, first: int, last: int) -> list[list[int]]:
-    """Faces incident to vertex u, ordered from the boundary edge
-    (first, u) around to the edge (u, last)."""
-    order: list[list[int]] = []
-    c = first
-    while True:
-        for f in face_list:
-            if u in f:
-                k = f.index(u)
-                if f[k - 1] == c:
-                    order.append(f)
-                    c = f[(k + 1) % len(f)]
-                    break
-        else:
-            raise AssertionError("fan walk broke; faces are inconsistent")
-        if c == last:
-            return order
-
-
 def _antipodal_steps(cert: ReductionCertificate) -> Iterator[SurgeryStep]:
     """The steps that rebuild w + w from base + base for the Problem III
     certificate of w: each step at its position i and at i + h, where h
@@ -231,63 +214,63 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
     centrally symmetric dissection of the 2n-gon with quiddity w + w."""
     steps: Iterable[SurgeryStep]
     if cert.base == BASE_TRIANGLE:
-        boundary, face_list, steps = [0, 1, 2], [[0, 1, 2]], cert.steps
+        boundary, steps = [0, 1, 2], cert.steps
+        ends: list[list[int]] = [[], [], []]
     elif cert.base in BASES_CENTRAL:
         # quiddity (1,2,1,2) has diameter (1,3), quiddity (2,1,2,1) has (0,2)
-        boundary = [0, 1, 2, 3]
-        face_list = [[0, 1, 3], [1, 2, 3]] if cert.base == (1, 2) else [[0, 1, 2], [0, 2, 3]]
-        steps = _antipodal_steps(cert)
+        boundary, steps = [0, 1, 2, 3], _antipodal_steps(cert)
+        ends = [[], [3], [], [1]] if cert.base == (1, 2) else [[2], [], [0], []]
     else:
         raise ValueError(f"no dissection replays a certificate with base {cert.base}")
-    fresh = itertools.count(len(boundary))
 
+    # Vertices are labelled in order of creation, so the n boundary labels
+    # are 0..n-1 and a new vertex is labelled n; ends[v] lists the far ends
+    # of the diagonals at v.
     for step in steps:
         n = len(boundary)
         i = step.position
         if not 0 <= i < n:
             raise ValueError(f"step position {i} out of range")
         if step.kind is StepKind.TYPE1:
+            if step.wrap and i != n - 1:
+                raise ValueError(f"invalid wrap {step.wrap} at position {i}")
+            # the glued triangle turns the edge it sits on into a diagonal
             u, nxt = boundary[i], boundary[(i + 1) % n]
-            v = next(fresh)
-            face_list.append([u, v, nxt])
-            if i < n - 1:
-                boundary = boundary[:i + 1] + [v] + boundary[i + 1:]
-            elif step.wrap:
-                boundary = [v] + boundary
-            else:
-                boundary = boundary + [v]
+            ends[u].append(nxt)
+            ends[nxt].append(u)
+            ends.append([])
+            boundary.insert(0 if step.wrap else i + 1, n)
         else:
             if step.split is None:
                 raise ValueError("type-2 step without a split")
             a1, a2 = step.split
             u = boundary[i]
-            prev, nxt = boundary[i - 1], boundary[(i + 1) % n]
-            fan = _fan_at(face_list, u, prev, nxt)
-            if not 1 <= a1 <= len(fan) or a2 != len(fan) + 1 - a1:
-                raise ValueError(f"split {step.split} does not fit vertex of degree {len(fan)}")
-            u2, x, y = next(fresh), next(fresh), next(fresh)
-            chosen = fan[a1 - 1]
-            k = chosen.index(u)
-            chosen[k:k + 1] = [u, x, y, u2]
-            for f in fan[a1:]:
-                f[f.index(u)] = u2
+            deg = len(ends[u])
+            if not 1 <= a1 <= deg + 1 or a1 + a2 != deg + 2:
+                raise ValueError(f"split {step.split} does not fit a vertex in {deg + 1} faces")
+            x, y, u2 = n, n + 1, n + 2
+            ends += [[], [], []]
+            if deg:
+                # the diagonals at u, from the side of boundary[i - 1] round
+                # to boundary[i + 1]; the a'-th face lies between the
+                # (a'-1)-th and the a'-th, and the diagonals after it go to u2
+                pos = {v: k for k, v in enumerate(boundary)}
+                fan = sorted(ends[u], key=lambda v: (i - pos[v]) % n)
+                ends[u] = fan[:a1 - 1]
+                ends[u2] = fan[a1 - 1:]
+                for v in ends[u2]:
+                    ends[v][ends[v].index(u)] = u2
             seq = [u, x, y, u2]
             if step.wrap == 0:
-                boundary = boundary[:i] + seq + boundary[i + 1:]
+                boundary[i:i + 1] = seq
             elif i == 0 and 1 <= step.wrap <= 3:
                 boundary = seq[4 - step.wrap:] + boundary[1:] + seq[:4 - step.wrap]
             else:
                 raise ValueError(f"invalid wrap {step.wrap} at position {i}")
 
-    label = {v: k for k, v in enumerate(boundary)}
-    n = len(boundary)
-    diagonals = set()
-    for f in face_list:
-        cyc = [label[v] for v in f]
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if (b - a) % n not in (1, n - 1):
-                diagonals.add((min(a, b), max(a, b)))
-    return Dissection(n, frozenset(diagonals))
+    pos = {v: k for k, v in enumerate(boundary)}
+    return Dissection(len(boundary), frozenset(
+        (pos[u], pos[v]) for u, far in enumerate(ends) for v in far if pos[u] < pos[v]))
 
 
 # -- exhaustive enumeration --------------------------------------------------

@@ -157,7 +157,8 @@ def apply_type2(
 def apply_step(w: Sequence[int], step: SurgeryStep) -> Word:
     if step.kind is StepKind.TYPE1:
         return apply_type1(w, step.position, front=bool(step.wrap))
-    assert step.split is not None
+    if step.split is None:
+        raise ValueError("type-2 step without a split")
     return apply_type2(w, step.position, step.split, wrap=step.wrap)
 
 

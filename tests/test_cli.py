@@ -8,6 +8,7 @@ from quiddity.dissection import faces
 from quiddity.frieze import frieze, render_text
 from quiddity.matrices import IDENTITY, NEG_IDENTITY, Mat2
 from quiddity.psl2 import element_dissection, element_index, element_quiddity, reduced_decomposition
+from quiddity.surgery import classify
 
 
 def run(capsys, *argv):
@@ -201,6 +202,11 @@ def test_farey(capsys):
     assert code == 0
     assert "4,1,2,3,1,5,1,3,2,1,4" in out
     assert "Problem II" in out
+    for order in range(2, 31):
+        code, out, _ = run(capsys, "--format", "json", "farey", str(order))
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["class"] == classify(tuple(doc["word"]))[0].value
 
 
 def test_farey_bad_order(capsys):

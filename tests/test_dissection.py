@@ -27,7 +27,15 @@ from quiddity.dissection import (
 )
 from quiddity.limits import BudgetExceededError
 from quiddity.search import generative_enumerate
-from quiddity.surgery import SolutionClass, reduce_word, solution_class
+from quiddity.surgery import (
+    BASE_TRIANGLE,
+    ReductionCertificate,
+    SolutionClass,
+    StepKind,
+    SurgeryStep,
+    reduce_word,
+    solution_class,
+)
 
 
 def test_make_dissection_validation():
@@ -77,10 +85,66 @@ def test_heptagon_example():
 
 
 def test_round_trip_all_solutions():
+    # each type-1 step adds one diagonal; a Problem III certificate is
+    # replayed twice over, on a square that already has one diameter
     for problem in ("I", "II"):
         for n in range(3, 9):
             for w in generative_enumerate(problem, n).words:
-                assert quiddity(from_certificate(reduce_word(w))) == w
+                cert = reduce_word(w)
+                d = from_certificate(cert)
+                assert quiddity(d) == w
+                assert len(d.diagonals) == cert.type1_count
+    for n in range(2, 9):
+        for w in generative_enumerate("III", n).words:
+            cert = reduce_word(w)
+            d = from_certificate(cert)
+            assert quiddity(d) == w + w
+            assert is_centrally_symmetric(d)
+            assert len(d.diagonals) == 2 * cert.type1_count + 1
+
+
+T1, T2 = StepKind.TYPE1, StepKind.TYPE2
+
+
+@pytest.mark.parametrize("base,steps", [
+    ((1, 1, 1), [SurgeryStep(T1, 0, wrap=1)]),
+    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T1, 1, wrap=1)]),
+    ((1, 1, 1), [SurgeryStep(T2, 0)]),
+    ((1, 1, 1), [SurgeryStep(T2, 1, (1, 1), wrap=1)]),
+    ((1, 1, 1), [SurgeryStep(T2, 0, (1, 1), wrap=4)]),
+    ((1, 1, 1), [SurgeryStep(T1, 3)]),
+    ((1, 1, 1), [SurgeryStep(T2, -1, (1, 1))]),
+    ((1, 1, 1), [SurgeryStep(T2, 0, (2, 1))]),
+    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (1, 1))]),
+    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (3, 0))]),
+    ((1, 2), [SurgeryStep(T1, 0, wrap=1)]),
+    ((2, 1), [SurgeryStep(T1, 2)]),
+    ((2, 1), [SurgeryStep(T2, 0, (3, 1))]),
+], ids=["type1-wrap-interior", "type1-wrap-interior-later", "type2-no-split",
+        "type2-wrap-not-at-0", "type2-wrap-too-large", "position-too-large",
+        "position-negative", "split-too-large", "split-too-small", "split-zero",
+        "III-type1-wrap-interior", "III-position-too-large", "III-split-too-large"])
+def test_malformed_certificate_rejected_by_both_replays(base, steps):
+    cert = ReductionCertificate(base, tuple(steps))
+    with pytest.raises(ValueError):
+        cert.replay()
+    with pytest.raises(ValueError):
+        from_certificate(cert)
+
+
+@pytest.mark.parametrize("base,steps", [
+    ((1, 1, 1), [SurgeryStep(T1, 2, wrap=1)]),
+    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T1, 3, wrap=1)]),
+    ((1, 1, 1), [SurgeryStep(T2, 0, (1, 1), wrap=3)]),
+    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (2, 1), wrap=1)]),
+    ((1, 1, 1), [SurgeryStep(T1, 2), SurgeryStep(T2, 0, (1, 2))]),
+    ((1, 2), [SurgeryStep(T1, 1, wrap=1), SurgeryStep(T2, 0, (1, 1), wrap=2)]),
+], ids=["type1-wrap", "type1-wrap-later", "type2-wrap", "type2-wrap-split", "type2-split",
+        "III-wraps"])
+def test_well_formed_certificate_accepted_by_both_replays(base, steps):
+    cert = ReductionCertificate(base, tuple(steps))
+    w = cert.replay()
+    assert quiddity(from_certificate(cert)) == (w if base == BASE_TRIANGLE else w + w)
 
 
 def test_parity_predicts_problem():
@@ -309,7 +373,8 @@ def _half_turn_invariant(n, diagonals):
 
 def test_dissect_trace_zero_is_centrally_symmetric(capsys):
     words = [w for n in range(2, 7) for w in generative_enumerate("III", n).words]
-    # the certificate of w + w builds a 12-gon that is not centrally symmetric
+    # regression check: replaying the certificate of w + w, not w's twice
+    # over, builds a 12-gon here that is not centrally symmetric
     assert (1, 2, 1, 2, 1, 2) in words
     for w in words:
         assert main(["--format", "json", "dissect", ",".join(map(str, w))]) == 0
