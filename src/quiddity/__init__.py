@@ -5,7 +5,6 @@ indices, friezes, and reduced decompositions in the modular group."""
 from .matrices import (
     IDENTITY,
     Mat2,
-    MatrixClass,
     NEG_IDENTITY,
     Word,
     canonical_dihedral,

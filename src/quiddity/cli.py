@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import dissection as dmod
@@ -57,10 +56,6 @@ def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:
             print(line)
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def cmd_verify(args) -> int:
     word = _parse_word(args.word)
     cls, cert = classify(word)
@@ -71,7 +66,7 @@ def cmd_verify(args) -> int:
     n = len(word)
     s_count, r_count = cert.type1_count, cert.type2_count
     total = sum(word)
-    expected = 3 * n - 6 * r_count - (3 if cls is SolutionClass.PROBLEM_III else 6)
+    expected = search.sum_bound(cls, n) - 6 * r_count
     bound = search.entry_bound(cls, n)
     index = sturm.rotation_index(word)
     payload = {
@@ -92,7 +87,7 @@ def cmd_verify(args) -> int:
         f"S = {s_count}, R = {r_count}",
         f"sum = {total} (expected {expected}): {'ok' if total == expected else 'MISMATCH'}",
         f"max entry {max(word)} <= bound {bound}: {'ok' if max(word) <= bound else 'MISMATCH'}",
-        f"rotation index: {_frac(index)}",
+        f"rotation index: {index}",
     ])
     return EXIT_OK
 
@@ -202,7 +197,7 @@ def cmd_decompose(args) -> int:
     _emit(args, payload, lambda: [
         f"reduced word: {','.join(map(str, word))}",
         f"quiddity: {','.join(map(str, q.combined))}",
-        f"index: {_frac(index)}",
+        f"index: {index}",
         f"dissection: {diss.n}-gon, faces {payload['faces']}",
     ])
     return EXIT_OK
@@ -218,7 +213,7 @@ def cmd_farey(args) -> int:
         "word": list(word),
         "class": cls.value,
         "sum": sum(word),
-        "sum_expected": 3 * len(word) - 6,
+        "sum_expected": search.sum_bound(cls, len(word)),
         "totally_positive": is_totally_positive(word),
     }
     _emit(args, payload, lambda: [
@@ -288,9 +283,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except limits.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

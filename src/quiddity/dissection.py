@@ -21,9 +21,10 @@ diagonal.  A type-2 step with split (a', a'') replaces a boundary vertex
 u by u, x, y, u'' and so enlarges the a'-th face around u, counted from
 the side of the preceding boundary edge, by three vertices: of u's
 diagonals, taken from that side, the first a' - 1 stay at u and the rest
-move to u''.  With that convention quiddity(from_certificate(reduce(w)))
-== w.  A Problem III certificate starts from the square with one
-diameter and applies every step at two antipodal places, which builds a
+move to u''.  After either step the boundary is rotated by the step's
+shift.  With that convention quiddity(from_certificate(reduce(w))) ==
+w.  A Problem III certificate starts from the square with one diameter
+and applies every step at two antipodal places, which builds a
 centrally symmetric 2n-gon with quiddity w + w.
 """
 
@@ -191,20 +192,14 @@ def half_quiddity(d: Dissection, start: int = 0) -> Word:
 
 def _antipodal_steps(cert: ReductionCertificate) -> Iterator[SurgeryStep]:
     """The steps that rebuild w + w from base + base for the Problem III
-    certificate of w: each step at its position i and at i + h, where h
-    is the length of the half word so far, the later one first so that
-    i does not move."""
+    certificate of w: each step at its position i + h without a shift,
+    where h is the length of the half word so far, then the step itself,
+    so that i does not move.  Rotating u + u by s rotates each copy of u
+    by s, so every intermediate dissection stays centrally symmetric."""
     h = len(cert.base)
     for step in cert.steps:
-        i = step.position
-        if step.kind is StepKind.TYPE1 and step.wrap:
-            # the 1 put in front of the word moves the mid-word copy to i + 1
-            yield replace(step, position=i + h)
-            yield replace(step, position=i + 1, wrap=0)
-        else:
-            # a split wrapping round the end has its copy mid-word, unwrapped
-            yield replace(step, position=i + h, wrap=0)
-            yield step
+        yield replace(step, position=step.position + h, shift=0)
+        yield step
         h += 1 if step.kind is StepKind.TYPE1 else 3
 
 
@@ -232,14 +227,12 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
         if not 0 <= i < n:
             raise ValueError(f"step position {i} out of range")
         if step.kind is StepKind.TYPE1:
-            if step.wrap and i != n - 1:
-                raise ValueError(f"invalid wrap {step.wrap} at position {i}")
             # the glued triangle turns the edge it sits on into a diagonal
             u, nxt = boundary[i], boundary[(i + 1) % n]
             ends[u].append(nxt)
             ends[nxt].append(u)
             ends.append([])
-            boundary.insert(0 if step.wrap else i + 1, n)
+            boundary.insert(i + 1, n)
         else:
             if step.split is None:
                 raise ValueError("type-2 step without a split")
@@ -260,13 +253,10 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
                 ends[u2] = fan[a1 - 1:]
                 for v in ends[u2]:
                     ends[v][ends[v].index(u)] = u2
-            seq = [u, x, y, u2]
-            if step.wrap == 0:
-                boundary[i:i + 1] = seq
-            elif i == 0 and 1 <= step.wrap <= 3:
-                boundary = seq[4 - step.wrap:] + boundary[1:] + seq[:4 - step.wrap]
-            else:
-                raise ValueError(f"invalid wrap {step.wrap} at position {i}")
+            boundary[i:i + 1] = [u, x, y, u2]
+        if step.shift:
+            s = step.shift % len(boundary)
+            boundary = boundary[s:] + boundary[:s]
 
     pos = {v: k for k, v in enumerate(boundary)}
     return Dissection(len(boundary), frozenset(

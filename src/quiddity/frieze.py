@@ -14,6 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 from .dissection import Dissection, quiddity as dissection_quiddity
 from .matrices import Word, check_word
+from .search import sum_bound
 from .surgery import NotASolutionError, SolutionClass, solution_class
 
 
@@ -118,16 +119,16 @@ def is_totally_positive(w: Sequence[int]) -> bool:
     """True iff all cyclic continuants K_{j+1}, j <= n-3, are positive.
 
     Applies to Problem II solutions directly and to Problem III
-    solutions through their doubled word.
+    solutions through their doubled word.  By Conway and Coxeter the
+    totally positive ones are the quiddities of triangulations, the
+    solutions with R = 0 type-2 steps, so the test is that the entry sum
+    reaches ``search.sum_bound`` (the sum is that bound minus 6R).
     """
     word = check_word(w)
     cls = solution_class(word)
-    if cls is SolutionClass.PROBLEM_III:
-        word = word + word
-    elif cls is not SolutionClass.PROBLEM_II:
+    if cls not in (SolutionClass.PROBLEM_II, SolutionClass.PROBLEM_III):
         raise NotASolutionError(word, "total positivity applies to Problem II or III solutions")
-    # row 0 is all 1s, so rows 0..n-2 are positive iff rows 1..n-2 are
-    return all(x > 0 for row in _continuant_rows(word, len(word) - 2) for x in row)
+    return sum(word) == sum_bound(cls, len(word))
 
 
 def render_text(f: Frieze, periods: int = 2) -> str:

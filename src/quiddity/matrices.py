@@ -58,11 +58,14 @@ IDENTITY = Mat2(1, 0, 0, 1)
 NEG_IDENTITY = Mat2(-1, 0, 0, -1)
 
 
-class MatrixClass(enum.Enum):
-    IDENTITY = "identity"
-    NEG_IDENTITY = "neg_identity"
-    TRACE_ZERO = "trace_zero"
-    OTHER = "other"
+class SolutionClass(enum.Enum):
+    """Which equation a word's product solves: M = Id (I), M = -Id (II),
+    trace M = 0 (III), or none of them."""
+
+    PROBLEM_I = "I"
+    PROBLEM_II = "II"
+    PROBLEM_III = "III"
+    NOT_A_SOLUTION = "none"
 
 
 def check_word(w: Sequence[int]) -> Word:
@@ -142,7 +145,7 @@ def product_from_continuants(w: Sequence[int]) -> Mat2:
     )
 
 
-def classify_matrix(m: Mat2) -> MatrixClass:
+def classify_matrix(m: Mat2) -> SolutionClass:
     """Sort a determinant-1 matrix into Id / -Id / trace-zero / other.
 
     Trace zero is equivalent to m*m == -Id.  The first three cases are
@@ -151,9 +154,9 @@ def classify_matrix(m: Mat2) -> MatrixClass:
     if m.det() != 1:
         raise ValueError(f"expected determinant 1, got {m.det()}")
     if m == IDENTITY:
-        return MatrixClass.IDENTITY
+        return SolutionClass.PROBLEM_I
     if m == NEG_IDENTITY:
-        return MatrixClass.NEG_IDENTITY
+        return SolutionClass.PROBLEM_II
     if m.trace() == 0:
-        return MatrixClass.TRACE_ZERO
-    return MatrixClass.OTHER
+        return SolutionClass.PROBLEM_III
+    return SolutionClass.NOT_A_SOLUTION

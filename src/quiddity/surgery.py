@@ -12,11 +12,11 @@ to a base word ((1,1,1) for the first two, (1,2)/(2,1) for trace zero)
 by inverting these surgeries.  ``reduce_word`` does this with a fixed
 deterministic scan and returns a replayable certificate.
 
-Positions are cyclic.  When a step acts across the wrap-around point of
-the stored representative, the step carries a ``wrap`` count saying how
-many of the inserted entries land at the front of the representative;
-this is what makes certificate replay reproduce the original tuple
-exactly, not merely up to rotation.
+Positions are cyclic.  A step splices its entries into the stored
+tuple and then rotates the result by its ``shift``: a step that acts
+across the wrap-around point only changes which rotation of the word is
+stored, so certificate replay reproduces the original tuple exactly,
+not merely up to rotation.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .matrices import (
-    MatrixClass,
+    SolutionClass,
     Word,
     check_word,
     classify_matrix,
+    rotate,
     word_product,
 )
 
@@ -55,36 +56,19 @@ class SurgeryStep:
     """One forward surgery step.
 
     ``position`` indexes the representative the step is applied to.  For
-    TYPE2, ``split`` is the pair (a', a'').  ``wrap`` is the number of
-    inserted entries placed at the front of the representative (0 for a
-    plain splice; for TYPE2 it can be 1..3 and then position must be 0,
-    for TYPE1 it can be 1 and then position must be the last index).
+    TYPE2, ``split`` is the pair (a', a'').  The spliced result is then
+    rotated by ``shift`` (``matrices.rotate``); any integer is allowed.
     """
 
     kind: StepKind
     position: int
     split: Optional[tuple[int, int]] = None
-    wrap: int = 0
-
-
-class SolutionClass(enum.Enum):
-    PROBLEM_I = "I"
-    PROBLEM_II = "II"
-    PROBLEM_III = "III"
-    NOT_A_SOLUTION = "none"
-
-
-_MATRIX_TO_SOLUTION = {
-    MatrixClass.IDENTITY: SolutionClass.PROBLEM_I,
-    MatrixClass.NEG_IDENTITY: SolutionClass.PROBLEM_II,
-    MatrixClass.TRACE_ZERO: SolutionClass.PROBLEM_III,
-    MatrixClass.OTHER: SolutionClass.NOT_A_SOLUTION,
-}
+    shift: int = 0
 
 
 def solution_class(w: Sequence[int]) -> SolutionClass:
     """Which of the three equations (if any) the word solves."""
-    return _MATRIX_TO_SOLUTION[classify_matrix(word_product(w))]
+    return classify_matrix(word_product(w))
 
 
 @dataclass(frozen=True)
@@ -111,34 +95,23 @@ class ReductionCertificate:
         return w
 
 
-def apply_type1(w: Sequence[int], i: int, front: bool = False) -> Word:
+def apply_type1(w: Sequence[int], i: int) -> Word:
     """Insert 1 between a_i and a_{i+1} (cyclically), incrementing both.
 
-    For i == n-1 the insertion straddles the wrap-around; the new 1 is
-    appended at the end unless ``front`` is set, in which case it becomes
-    the first entry.
+    For i == n-1 the insertion straddles the wrap-around and the new 1
+    is appended at the end.
     """
     word = check_word(w)
     n = len(word)
     if not 0 <= i < n:
         raise ValueError(f"position {i} out of range for word of length {n}")
     if i < n - 1:
-        if front:
-            raise ValueError("front placement only applies at the wrap-around position")
         return word[:i] + (word[i] + 1, 1, word[i + 1] + 1) + word[i + 2:]
-    bumped = (word[0] + 1,) + word[1:-1] + (word[-1] + 1,)
-    return (1,) + bumped if front else bumped + (1,)
+    return (word[0] + 1,) + word[1:-1] + (word[-1] + 1, 1)
 
 
-def apply_type2(
-    w: Sequence[int], i: int, split: tuple[int, int], wrap: int = 0
-) -> Word:
-    """Replace a_i by (a', 1, 1, a'') with a' + a'' = a_i + 1.
-
-    ``wrap`` in 1..3 places that many trailing entries of the inserted
-    block at the front of the representative instead (requires i == 0);
-    the cyclic word is the same either way.
-    """
+def apply_type2(w: Sequence[int], i: int, split: tuple[int, int]) -> Word:
+    """Replace a_i by (a', 1, 1, a'') with a' + a'' = a_i + 1."""
     word = check_word(w)
     n = len(word)
     if not 0 <= i < n:
@@ -146,20 +119,17 @@ def apply_type2(
     a1, a2 = split
     if a1 < 1 or a2 < 1 or a1 + a2 != word[i] + 1:
         raise ValueError(f"invalid split {split} for entry {word[i]}")
-    block = (a1, 1, 1, a2)
-    if wrap == 0:
-        return word[:i] + block + word[i + 1:]
-    if i != 0 or not 1 <= wrap <= 3:
-        raise ValueError(f"invalid wrap {wrap} at position {i}")
-    return block[4 - wrap:] + word[1:] + block[:4 - wrap]
+    return word[:i] + (a1, 1, 1, a2) + word[i + 1:]
 
 
 def apply_step(w: Sequence[int], step: SurgeryStep) -> Word:
     if step.kind is StepKind.TYPE1:
-        return apply_type1(w, step.position, front=bool(step.wrap))
-    if step.split is None:
+        out = apply_type1(w, step.position)
+    elif step.split is None:
         raise ValueError("type-2 step without a split")
-    return apply_type2(w, step.position, step.split, wrap=step.wrap)
+    else:
+        out = apply_type2(w, step.position, step.split)
+    return rotate(out, step.shift) if step.shift else out
 
 
 def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
@@ -171,7 +141,8 @@ def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
         raise ValueError(f"no isolated 1 with neighbors >= 2 at position {i}")
     if i == 0:
         out = (word[1] - 1,) + word[2:-1] + (word[-1] - 1,)
-        return out, SurgeryStep(StepKind.TYPE1, n - 2, wrap=1)
+        # glued at the end of the shorter word, then rotated to the front
+        return out, SurgeryStep(StepKind.TYPE1, n - 2, shift=-1)
     if i == n - 1:
         out = (word[0] - 1,) + word[1:-2] + (word[-2] - 1,)
         return out, SurgeryStep(StepKind.TYPE1, n - 2)
@@ -191,9 +162,10 @@ def _inverse_type2(word: Word, i: int) -> tuple[Word, SurgeryStep]:
     if q <= n - 4:
         out = word[:q] + (merged,) + word[q + 4:]
         return out, SurgeryStep(StepKind.TYPE2, q, (outer1, outer2))
-    wrap = q - (n - 4)  # 1, 2, or 3 fragment entries sat at the front
-    out = (merged,) + word[wrap:q]
-    return out, SurgeryStep(StepKind.TYPE2, 0, (outer1, outer2), wrap=wrap)
+    # the fragment wraps round the end: split the front entry, then rotate
+    # the fragment's first n - q entries back to the end
+    out = (merged,) + word[q + 4 - n:q]
+    return out, SurgeryStep(StepKind.TYPE2, 0, (outer1, outer2), shift=n - q)
 
 
 def inverse_type1(w: Sequence[int], i: int) -> Word:

@@ -37,6 +37,11 @@ def test_verify_json(capsys):
     assert doc["class"] == "II"
     assert doc["S"] == 0 and doc["R"] == 0
     assert doc["sum"] == doc["sum_expected"] == 3
+    # the sum falls 6 below the sum bound per type-2 step, in every class
+    for word, cls in (("1,1,1,1,1,1", "I"), ("1,1,2,1,1", "III"), ("1,1,1,1,1,1,1,1,1", "II")):
+        doc = json.loads(run(capsys, "--format", "json", "verify", word)[1])
+        assert (doc["class"], doc["sum"]) == (cls, doc["sum_expected"])
+        assert doc["R"] >= 1
 
 
 def test_verify_bad_word(capsys):
@@ -207,6 +212,12 @@ def test_farey(capsys):
         doc = json.loads(out)
         assert code == 0
         assert doc["class"] == classify(tuple(doc["word"]))[0].value
+    # total positivity by the sum bound keeps a 27,399-gon fast
+    code, out, _ = run(capsys, "--format", "json", "farey", "300")
+    doc = json.loads(out)
+    assert code == 0
+    assert (len(doc["word"]), doc["class"], doc["totally_positive"]) == (27399, "II", True)
+    assert doc["sum"] == doc["sum_expected"] == 3 * 27399 - 6
 
 
 def test_farey_bad_order(capsys):

@@ -3,6 +3,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiddity.cli import main
 from quiddity.dissection import (
@@ -33,6 +35,7 @@ from quiddity.surgery import (
     SolutionClass,
     StepKind,
     SurgeryStep,
+    apply_step,
     reduce_word,
     solution_class,
 )
@@ -107,23 +110,16 @@ T1, T2 = StepKind.TYPE1, StepKind.TYPE2
 
 
 @pytest.mark.parametrize("base,steps", [
-    ((1, 1, 1), [SurgeryStep(T1, 0, wrap=1)]),
-    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T1, 1, wrap=1)]),
     ((1, 1, 1), [SurgeryStep(T2, 0)]),
-    ((1, 1, 1), [SurgeryStep(T2, 1, (1, 1), wrap=1)]),
-    ((1, 1, 1), [SurgeryStep(T2, 0, (1, 1), wrap=4)]),
     ((1, 1, 1), [SurgeryStep(T1, 3)]),
     ((1, 1, 1), [SurgeryStep(T2, -1, (1, 1))]),
     ((1, 1, 1), [SurgeryStep(T2, 0, (2, 1))]),
     ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (1, 1))]),
     ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (3, 0))]),
-    ((1, 2), [SurgeryStep(T1, 0, wrap=1)]),
     ((2, 1), [SurgeryStep(T1, 2)]),
     ((2, 1), [SurgeryStep(T2, 0, (3, 1))]),
-], ids=["type1-wrap-interior", "type1-wrap-interior-later", "type2-no-split",
-        "type2-wrap-not-at-0", "type2-wrap-too-large", "position-too-large",
-        "position-negative", "split-too-large", "split-too-small", "split-zero",
-        "III-type1-wrap-interior", "III-position-too-large", "III-split-too-large"])
+], ids=["type2-no-split", "position-too-large", "position-negative", "split-too-large",
+        "split-too-small", "split-zero", "III-position-too-large", "III-split-too-large"])
 def test_malformed_certificate_rejected_by_both_replays(base, steps):
     cert = ReductionCertificate(base, tuple(steps))
     with pytest.raises(ValueError):
@@ -133,18 +129,54 @@ def test_malformed_certificate_rejected_by_both_replays(base, steps):
 
 
 @pytest.mark.parametrize("base,steps", [
-    ((1, 1, 1), [SurgeryStep(T1, 2, wrap=1)]),
-    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T1, 3, wrap=1)]),
-    ((1, 1, 1), [SurgeryStep(T2, 0, (1, 1), wrap=3)]),
-    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (2, 1), wrap=1)]),
+    ((1, 1, 1), [SurgeryStep(T1, 2, shift=-1)]),
+    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T1, 3, shift=-1)]),
+    ((1, 1, 1), [SurgeryStep(T2, 0, (1, 1), shift=1)]),
+    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (2, 1), shift=3)]),
     ((1, 1, 1), [SurgeryStep(T1, 2), SurgeryStep(T2, 0, (1, 2))]),
-    ((1, 2), [SurgeryStep(T1, 1, wrap=1), SurgeryStep(T2, 0, (1, 1), wrap=2)]),
+    ((1, 2), [SurgeryStep(T1, 1, shift=-1), SurgeryStep(T2, 0, (1, 1), shift=2)]),
+    ((1, 1, 1), [SurgeryStep(T1, 0, shift=-1)]),
+    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T1, 1, shift=-6)]),
+    ((1, 1, 1), [SurgeryStep(T2, 1, (1, 1), shift=1)]),
+    ((1, 1, 1), [SurgeryStep(T2, 0, (1, 1), shift=10)]),
+    ((1, 2), [SurgeryStep(T1, 0, shift=-1)]),
 ], ids=["type1-wrap", "type1-wrap-later", "type2-wrap", "type2-wrap-split", "type2-split",
-        "III-wraps"])
+        "III-wraps", "type1-shift-interior", "type1-shift-later",
+        "type2-shift-interior", "type2-shift-overlong", "III-shift-interior"])
 def test_well_formed_certificate_accepted_by_both_replays(base, steps):
     cert = ReductionCertificate(base, tuple(steps))
     w = cert.replay()
-    assert quiddity(from_certificate(cert)) == (w if base == BASE_TRIANGLE else w + w)
+    d = from_certificate(cert)
+    if base == BASE_TRIANGLE:
+        assert quiddity(d) == w
+    else:
+        assert quiddity(d) == w + w
+        assert is_centrally_symmetric(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([BASE_TRIANGLE, (1, 2), (2, 1)]), st.data())
+def test_shifted_certificates_agree_in_both_replays(base, data):
+    # random steps at any position with any shift; splits fit the entry
+    w, steps = base, []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+        i = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
+        shift = data.draw(st.integers(min_value=-12, max_value=12))
+        if data.draw(st.booleans()):
+            step = SurgeryStep(T1, i, shift=shift)
+        else:
+            a1 = data.draw(st.integers(min_value=1, max_value=w[i]))
+            step = SurgeryStep(T2, i, (a1, w[i] + 1 - a1), shift)
+        steps.append(step)
+        w = apply_step(w, step)
+    cert = ReductionCertificate(base, tuple(steps))
+    assert cert.replay() == w
+    d = from_certificate(cert)
+    if base == BASE_TRIANGLE:
+        assert quiddity(d) == w
+    else:
+        assert quiddity(d) == w + w
+        assert is_centrally_symmetric(d)
 
 
 def test_parity_predicts_problem():

@@ -5,8 +5,8 @@ import pytest
 from quiddity.matrices import (
     IDENTITY,
     Mat2,
-    MatrixClass,
     NEG_IDENTITY,
+    SolutionClass,
     canonical_rotation,
     check_word,
     classify_matrix,
@@ -79,10 +79,10 @@ def test_rotation_helpers():
 
 
 def test_classify_matrix():
-    assert classify_matrix(IDENTITY) is MatrixClass.IDENTITY
-    assert classify_matrix(NEG_IDENTITY) is MatrixClass.NEG_IDENTITY
-    assert classify_matrix(Mat2(0, -1, 1, 0)) is MatrixClass.TRACE_ZERO
-    assert classify_matrix(Mat2(2, 1, 1, 1)) is MatrixClass.OTHER
+    assert classify_matrix(IDENTITY) is SolutionClass.PROBLEM_I
+    assert classify_matrix(NEG_IDENTITY) is SolutionClass.PROBLEM_II
+    assert classify_matrix(Mat2(0, -1, 1, 0)) is SolutionClass.PROBLEM_III
+    assert classify_matrix(Mat2(2, 1, 1, 1)) is SolutionClass.NOT_A_SOLUTION
     with pytest.raises(ValueError):
         classify_matrix(Mat2(1, 0, 0, 2))
 

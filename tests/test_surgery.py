@@ -6,6 +6,9 @@ from quiddity.matrices import rotate, word_product
 from quiddity.surgery import (
     NotASolutionError,
     SolutionClass,
+    StepKind,
+    SurgeryStep,
+    apply_step,
     apply_type1,
     apply_type2,
     classify,
@@ -26,18 +29,19 @@ def test_apply_type1_interior():
 
 def test_apply_type1_wraparound():
     assert apply_type1((2, 3, 4), 2) == (3, 3, 5, 1)
-    assert apply_type1((2, 3, 4), 2, front=True) == (1, 3, 3, 5)
-    with pytest.raises(ValueError):
-        apply_type1((2, 3, 4), 0, front=True)
+    assert apply_step((2, 3, 4), SurgeryStep(StepKind.TYPE1, 2, shift=-1)) == (1, 3, 3, 5)
+    # any shift rotates the spliced word, wherever the step sits
+    assert apply_step((2, 3, 4), SurgeryStep(StepKind.TYPE1, 0, shift=-1)) == (4, 3, 1, 4)
+    assert apply_step((2, 3, 4), SurgeryStep(StepKind.TYPE1, 0, shift=7)) == (4, 3, 1, 4)
 
 
 def test_apply_type2():
     assert apply_type2((5, 2), 0, (2, 4)) == (2, 1, 1, 4, 2)
-    assert apply_type2((5, 2), 0, (2, 4), wrap=1) == (4, 2, 2, 1, 1)
+    assert apply_step((5, 2), SurgeryStep(StepKind.TYPE2, 0, (2, 4), shift=3)) == (4, 2, 2, 1, 1)
     with pytest.raises(ValueError):
         apply_type2((5, 2), 0, (2, 3))
-    with pytest.raises(ValueError):
-        apply_type2((5, 2), 1, (1, 2), wrap=1)
+    assert apply_step((5, 2), SurgeryStep(StepKind.TYPE2, 1, (1, 2), shift=1)) == (1, 1, 1, 2, 5)
+    assert apply_step((5, 2), SurgeryStep(StepKind.TYPE2, 1, (1, 2), shift=-6)) == (2, 5, 1, 1, 1)
 
 
 @given(words, st.data())
