@@ -10,9 +10,16 @@ Faces are built once per dissection, by the constructor: one sweep
 along the boundary checks that no two diagonals cross and collects the
 faces.  The enumerator, ``from_certificate`` and ``from_json`` hand over
 diagonals only, so every dissection gets its faces the same way.
-The searches for a given quiddity (``dissections_with_quiddity``,
-``symmetric_dissections``) walk the enumerator's choices but cut every
-branch whose face counts can no longer reach the word.
+
+The enumerator chooses the face on edge (0, 1) and then dissects each
+arc of the boundary that this face leaves over.  An arc's dissections
+depend only on its length, so each length's diagonal lists are built
+once per ``iter_dissections`` call, in the labels 0..s-1 of the s-gon,
+and mapped onto every arc of that length through one table of shared
+(min, max) tuples, so no tuple is made per mapped diagonal.  The
+searches for a given quiddity (``dissections_with_quiddity``,
+``symmetric_dissections``) walk the same choices in the same order but
+cut every branch whose face counts can no longer reach the word.
 
 ``from_certificate`` rebuilds a dissection by replaying a reduction
 certificate on the boundary and the diagonals alone.  A type-1 step
@@ -266,24 +273,42 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
 # -- exhaustive enumeration --------------------------------------------------
 
 
-def _diagonal_lists(poly: tuple[int, ...], allowed: frozenset[int]) -> Iterator[list[Diagonal]]:
-    """The diagonals of every dissection of the sub-polygon ``poly`` into
-    faces with sizes in ``allowed``, grouped by the face containing edge
-    (poly[0], poly[1]): one closing chord per arc of at least three
-    vertices that this face leaves over, then the diagonals cut inside
-    each arc.
+def _diagonal_lists(
+    m: int,
+    allowed: frozenset[int],
+    memo: dict[int, list[list[Diagonal]]],
+    pair: Sequence[Sequence[Diagonal]],
+) -> Iterator[list[Diagonal]]:
+    """The diagonals of every dissection of the m-gon 0..m-1 into faces
+    with sizes in ``allowed``, grouped by the face on edge (0, 1): one
+    closing chord per arc of at least three vertices that this face
+    leaves over, then the diagonals cut inside each arc.
+
+    An arc of s vertices from cut x takes the lists of the s-gon from
+    ``memo[s]``, built on first use, and maps local label i to x + i;
+    on the arc that closes back to vertex 0, local label s - 1 is 0.
+    Every mapped diagonal is the entry ``pair[i][j]``, the tuple
+    (min(i, j), max(i, j)), so the lists share a few tuples instead of
+    holding one per diagonal.
     """
-    m = len(poly)
     for k in sorted(allowed):
         if k > m:
             break
         for rest in itertools.combinations(range(2, m), k - 2):
-            cuts = (1,) + rest
-            arcs = [poly[cuts[t]:cuts[t + 1] + 1] for t in range(len(cuts) - 1)]
-            arcs.append(poly[cuts[-1]:] + (poly[0],))
-            arcs = [a for a in arcs if len(a) >= 3]
-            chords = [(a[0], a[-1]) if a[0] < a[-1] else (a[-1], a[0]) for a in arcs]
-            for parts in itertools.product(*(_diagonal_lists(a, allowed) for a in arcs)):
+            ends = (1,) + rest + (m,)
+            chords = []
+            arcs = []
+            for x, y in zip(ends, ends[1:]):
+                s = y - x + 1
+                if s < 3:
+                    continue
+                if s not in memo:
+                    memo[s] = list(_diagonal_lists(s, allowed, memo, pair))
+                labels = [*range(x, y), y % m]
+                local = [[pair[a][b] for b in labels] for a in labels]
+                chords.append(local[0][-1])
+                arcs.append([[local[i][j] for i, j in diags] for diags in memo[s]])
+            for parts in itertools.product(*arcs):
                 out = chords[:]
                 for part in parts:
                     out.extend(part)
@@ -292,17 +317,19 @@ def _diagonal_lists(poly: tuple[int, ...], allowed: frozenset[int]) -> Iterator[
 
 def _quiddity_lists(word: Word) -> Iterator[list[Diagonal]]:
     """The diagonals of every 3d-dissection of the len(word)-gon whose
-    quiddity is ``word``, in the order ``_diagonal_lists`` yields them.
+    quiddity is ``word``, in the order ``_diagonal_lists(len(word), ...)``
+    yields them, without its per-length lists.
 
     Pending arcs are split one at a time, the latest first, and each
     face grows through its vertices in increasing order, so the choices
-    come in the order of the enumerator's nested products.  rem[v]
-    counts the faces vertex v still needs and pend[v] the pending arcs
-    that hold it.  Every pending arc gives each of its vertices at least
-    one face, so a branch is cut unless rem[v] >= pend[v], with
-    rem[v] == 0 once pend[v] == 0.  A face vertex's counts are settled
-    as soon as the face's next vertex is chosen, and it is tested then;
-    the vertices the face skips stay inside one arc and keep theirs.
+    come in the order of the enumerator's nested products over its
+    arcs.  rem[v] counts the faces vertex v still needs and pend[v] the
+    pending arcs that hold it.  Every pending arc gives each of its
+    vertices at least one face, so a branch is cut unless
+    rem[v] >= pend[v], with rem[v] == 0 once pend[v] == 0.  A face
+    vertex's counts are settled as soon as the face's next vertex is
+    chosen, and it is tested then; the vertices the face skips stay
+    inside one arc and keep theirs.
     """
     n = len(word)
     rem = list(word)
@@ -383,7 +410,9 @@ def iter_dissections(
         allowed = frozenset(face_sizes)
         if any(s % 3 != 0 or s < 3 for s in allowed):
             raise ValueError("face sizes must be multiples of 3")
-    for diagonals in _diagonal_lists(tuple(range(n)), allowed):
+    pair = [[(min(i, j), max(i, j)) for j in range(n)] for i in range(n)]
+    # the per-length lists live as long as this generator
+    for diagonals in _diagonal_lists(n, allowed, {}, pair):
         yield Dissection(n, frozenset(diagonals))
 
 

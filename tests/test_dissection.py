@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,48 @@ def test_render_smoke():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         next(iter_dissections(15))
+
+
+def _reference_lists(poly, allowed):
+    """The enumerator's order, as a plain recursion on label tuples:
+    for each face on edge (poly[0], poly[1]), by size and then by its
+    vertices, the closing chords of the arcs it leaves over and, in
+    nested product order, the diagonals cut inside each arc."""
+    m = len(poly)
+    for k in sorted(allowed):
+        if k > m:
+            break
+        for rest in itertools.combinations(range(2, m), k - 2):
+            cuts = (1,) + rest
+            arcs = [poly[cuts[t]:cuts[t + 1] + 1] for t in range(len(cuts) - 1)]
+            arcs.append(poly[cuts[-1]:] + (poly[0],))
+            arcs = [a for a in arcs if len(a) >= 3]
+            chords = [(min(a[0], a[-1]), max(a[0], a[-1])) for a in arcs]
+            for parts in itertools.product(*(_reference_lists(a, allowed) for a in arcs)):
+                yield chords + [d for part in parts for d in part]
+
+
+@pytest.mark.parametrize("face_sizes", [None, {3}, {3, 6}, {6, 9}])
+def test_enumeration_order_is_pinned(face_sizes):
+    # _quiddity_lists promises this order, and test_search_equals_filter
+    # compares its lists with the enumerator's
+    for n in range(3, 12):
+        allowed = frozenset(range(3, n + 1, 3) if face_sizes is None else face_sizes)
+        expected = [frozenset(ds) for ds in _reference_lists(tuple(range(n)), allowed)]
+        assert [d.diagonals for d in iter_dissections(n, face_sizes=face_sizes)] == expected
+
+
+def test_enumeration_memory_stays_bounded():
+    # the per-length lists share the tuples of one pair table: a peak of
+    # about 2.4 MiB at n = 12, against 7.8 MiB with a fresh tuple per
+    # mapped diagonal
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in iter_dissections(12)) == 30083
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _dissection_counts(n_max, sign=1):

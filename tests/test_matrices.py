@@ -72,6 +72,22 @@ def test_product_from_continuants_random():
         assert product_from_continuants(w) == word_product(w)
 
 
+def test_word_product_matches_its_definition():
+    # the scalar recurrence against the fold E(a_n) * ... * E(a_1)
+    rng = random.Random(11)
+    for _ in range(2_000):
+        w = tuple(rng.randint(1, 10**6) for _ in range(rng.randint(1, 40)))
+        m = IDENTITY
+        for a in w:
+            m = elementary(a) * m
+        assert word_product(w) == m
+        if len(w) >= 2:
+            assert product_from_continuants(w) == m
+    for bad in [(), (0,), (2, -1)]:
+        with pytest.raises(ValueError):
+            word_product(bad)
+
+
 def test_rotation_helpers():
     w = (3, 1, 2)
     assert rotate(w, 1) == (1, 2, 3)
