@@ -107,16 +107,12 @@ def elementary(a: int) -> Mat2:
 
 
 def word_product(w: Sequence[int]) -> Mat2:
-    """M(a_1..a_n) = E(a_n) * ... * E(a_1).  Rejects the empty word.
-
-    The product is carried as four integers from the identity:
-    E(x) * [[a, b], [c, d]] = [[x*a - c, x*b - d], [a, b]], so one
-    ``Mat2`` is built at the end and none per factor.
-    """
-    a, b, c, d = 1, 0, 0, 1
-    for x in check_word(w):
-        a, b, c, d = x * a - c, x * b - d, a, b
-    return Mat2(a, b, c, d)
+    """M(a_1..a_n) = E(a_n) * ... * E(a_1).  Rejects the empty word."""
+    word = check_word(w)
+    m = elementary(word[0])
+    for a in word[1:]:
+        m = elementary(a) * m
+    return m
 
 
 def rotundus(w: Sequence[int]) -> int:

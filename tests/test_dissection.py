@@ -280,7 +280,7 @@ def test_enumeration_order_is_pinned(face_sizes):
 
 def test_enumeration_memory_stays_bounded():
     # the per-length lists share the tuples of one pair table: a peak of
-    # about 2.4 MiB at n = 12, against 7.8 MiB with a fresh tuple per
+    # about 1.3 MiB at n = 12, against 4.5 MiB with a fresh tuple per
     # mapped diagonal
     tracemalloc.start()
     try:

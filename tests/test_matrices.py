@@ -73,7 +73,8 @@ def test_product_from_continuants_random():
 
 
 def test_word_product_matches_its_definition():
-    # the scalar recurrence against the fold E(a_n) * ... * E(a_1)
+    # against the fold E(a_n) * ... * E(a_1) from the identity and
+    # against the four continuants
     rng = random.Random(11)
     for _ in range(2_000):
         w = tuple(rng.randint(1, 10**6) for _ in range(rng.randint(1, 40)))
