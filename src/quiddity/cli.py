@@ -155,7 +155,10 @@ def cmd_frieze(args) -> int:
     try:
         f = build_frieze(word, r_max=args.rows)
     except NotASolutionError:
-        _emit(args, {"word": list(word), "class": "none"}, lambda: [f"{word}: not a solution"])
+        cls = solution_class(word)
+        reason = ("not a solution" if cls is SolutionClass.NOT_A_SOLUTION else
+                  "a Problem I solution; friezes are built from Problem II or III solutions")
+        _emit(args, {"word": list(word), "class": cls.value}, lambda: [f"{word}: {reason}"])
         return EXIT_DOMAIN
     tame = check_tame(f)
     diagnostics = {"tame": tame}

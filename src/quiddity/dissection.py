@@ -6,10 +6,11 @@ one where every face has 3, 6, 9, ... vertices.  The quiddity of a
 3d-dissection is the tuple counting, at each vertex, the number of
 faces adjacent to it.
 
-Faces are built once per dissection, by the constructor: one sweep
-along the boundary checks that no two diagonals cross and collects the
-faces.  The enumerator, ``from_certificate`` and ``from_json`` hand over
-diagonals only, so every dissection gets its faces the same way.
+Faces are built once per dissection, by the constructor: one pass over
+the sorted diagonals checks each, then one sweep along the boundary
+checks that no two cross and collects the faces.  The enumerator,
+``from_certificate`` and ``from_json`` hand over diagonals only, so
+every dissection gets its faces the same way.
 
 The enumerator chooses the face on edge (0, 1) and then dissects each
 arc of the boundary that this face leaves over.  An arc's dissections
@@ -55,22 +56,27 @@ Diagonal = tuple[int, int]
 Face = tuple[int, ...]
 
 
-def _crossing(d1: Diagonal, d2: Diagonal) -> bool:
-    (i, j), (k, l) = d1, d2
-    return (i < k < j < l) or (k < i < l < j)
+def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
+    """The sorted faces of the n-gon cut by the diagonals, each with its
+    vertices in increasing order; ValueError if a diagonal is invalid.
 
-
-def _sweep(n: int, diags: list[Diagonal]) -> Optional[tuple[Face, ...]]:
-    """The sorted faces of the n-gon cut by the sorted diagonals, each
-    with its vertices in increasing order; None if two diagonals cross.
-
-    Walking the boundary from vertex 0, a diagonal (i, j) opens a face
-    at i and closes it at j.  Open faces nest, so a diagonal that ends
-    beyond the innermost open face crosses the diagonal that opened it.
+    One pass over the sorted diagonals checks each and files its far end.
+    Walking the boundary from vertex 0, a diagonal (i, j) then opens a
+    face at i and closes it at j.  Open faces nest, so a diagonal that
+    ends beyond the innermost open face crosses the one that opened it.
     """
-    far: dict[int, tuple[int, ...]] = {}
-    for i, j in reversed(diags):  # far ends from outermost to innermost
-        far[i] = far.get(i, ()) + (j,)
+    diags = sorted(diagonals)
+    far: dict[int, list[int]] = {}  # far ends from outermost to innermost
+    last = n - 1
+    for i, j in diags:
+        if not 0 <= i < j < n:
+            raise ValueError(f"diagonal {(i, j)} must satisfy 0 <= i < j < n")
+        if j - i == 1 or j - i == last:
+            raise ValueError(f"{(i, j)} is a boundary edge, not a diagonal")
+        if i in far:
+            far[i].insert(0, j)
+        else:
+            far[i] = [j]
     out: list[Face] = []
     stack: list[tuple[list[int], int]] = []
     face: list[int] = []
@@ -83,7 +89,9 @@ def _sweep(n: int, diags: list[Diagonal]) -> Optional[tuple[Face, ...]]:
         face.append(v)
         for j in far.get(v, ()):
             if j > end:
-                return None
+                a, b = next((a, b) for a, b in itertools.combinations(diags, 2)
+                            if a[0] < b[0] < a[1] < b[1])
+                raise ValueError(f"diagonals {a} and {b} cross")
             stack.append((face, end))
             face, end = [v], j
     out.append(tuple(face))
@@ -95,9 +103,9 @@ def _sweep(n: int, diags: list[Diagonal]) -> Optional[tuple[Face, ...]]:
 class Dissection:
     """A convex n-gon dissected by pairwise non-crossing diagonals.
 
-    Construction validates the diagonals and builds the faces in one
-    sweep (``_sweep``).  ``_faces`` holds them sorted; it takes no part
-    in equality, hashing, ``repr`` or ``to_json``.
+    Construction checks the diagonals and builds the faces in one
+    ``_sweep``.  ``_faces`` holds the faces sorted; it takes no part in
+    equality, hashing, ``repr`` or ``to_json``.
     """
 
     n: int
@@ -107,17 +115,7 @@ class Dissection:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        diags = sorted(self.diagonals)
-        for i, j in diags:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"diagonal {(i, j)} must satisfy 0 <= i < j < n")
-            if (j - i) % self.n in (1, self.n - 1):
-                raise ValueError(f"{(i, j)} is a boundary edge, not a diagonal")
-        found = _sweep(self.n, diags)
-        if found is None:
-            d1, d2 = next(p for p in itertools.combinations(diags, 2) if _crossing(*p))
-            raise ValueError(f"diagonals {d1} and {d2} cross")
-        object.__setattr__(self, "_faces", found)
+        object.__setattr__(self, "_faces", _sweep(self.n, self.diagonals))
 
     def to_json(self) -> dict:
         return {"n": self.n, "diagonals": [list(d) for d in sorted(self.diagonals)]}

@@ -3,14 +3,15 @@
 Every determinant-1 integer matrix A equals, up to sign, a product
 E(a_n)...E(a_1) with positive entries, and exactly one such word is
 reduced (no linear fragment (a,1,b) with a,b > 1, no interior fragment
-(a,1,1,b)).  ``reduced_decomposition`` computes that word: a Euclidean
-column reduction peels off E(q) factors with arbitrary integer q, the
-nonpositive entries are removed with the identities
+(a,1,1,b)).  ``reduced_decomposition`` computes that word in two steps.
+A Euclidean column reduction peels off E(q) factors with arbitrary
+integer q.  Then one left-to-right pass makes every entry positive and
+removes the forbidden fragments, with the two identities
 
     M(..., x, y, ...)   = M(..., x+1, 1, y+1, ...)
     M(..., c, 1, 1, d, ...) = -M(..., c+d-1, ...)
 
-and the linear inverse surgeries then drive the word to reduced form.
+the first also read right to left, as (a, 1, b) -> (a-1, b-1).
 
 Concatenating the reduced words of A and of A^{-1} gives the quiddity
 of A, a Problem I or II solution, hence the quiddity of an actual
@@ -25,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import limits
 from .dissection import Dissection, dissections_with_quiddity, from_certificate
-from .matrices import IDENTITY, Mat2, NEG_IDENTITY, Word, word_product
+from .matrices import Mat2, Word, word_product
 from .surgery import (
     SolutionClass,
     is_reduced,
@@ -81,8 +82,8 @@ def _euclid_word(a: Mat2) -> list[int]:
     entries_left: list[int] = []  # peeled q's, leftmost factor first
     b = a
     while b.c != 0:
-        # E(q)^{-1} b has bottom-left q*b.c - b.a; pick q to shrink it
-        q = round(Fraction(b.a, b.c))
+        # E(q)^{-1} b has bottom-left q*b.c - b.a; q nearest a/c at least halves it
+        q = (2 * b.a + b.c) // (2 * b.c)
         entries_left.append(q)
         b = Mat2(b.c, b.d, q * b.c - b.a, q * b.d - b.b)
     # now b = +-T^m with m = b.a * b.b, and T^m = -M((0, m))
@@ -90,47 +91,34 @@ def _euclid_word(a: Mat2) -> list[int]:
     return tail + list(reversed(entries_left))
 
 
-def _positify(entries: list[int]) -> list[int]:
-    """Remove entries < 1 using the type-1 identity, which is valid for
-    arbitrary integers and preserves the product."""
-    w = list(entries)
-    while True:
-        for i, x in enumerate(w):
-            if x >= 1:
-                continue
-            if len(w) == 1:
-                # extend with -Id = M(1,1,1) so the entry gets neighbors
-                w = [1, 1, 1] + w
-            elif i > 0:
-                w[i - 1:i + 1] = [w[i - 1] + 1, 1, x + 1]
-            else:
-                w[i:i + 2] = [x + 1, 1, w[i + 1] + 1]
-            break
-        else:
-            return w
+def _normalize(entries: list[int]) -> Word:
+    """The reduced positive word with the product of ``entries`` up to
+    sign, in one left-to-right pass.
 
-
-def _linear_reduce(entries: list[int]) -> Word:
-    """Drive a positive word to its reduced form by the linear inverse
-    surgeries (product preserved up to sign)."""
-    w = list(entries)
-    while True:
-        n = len(w)
-        changed = False
-        for i in range(1, n - 1):
-            if w[i] == 1 and w[i - 1] > 1 and w[i + 1] > 1:
-                w[i - 1:i + 2] = [w[i - 1] - 1, w[i + 1] - 1]
-                changed = True
-                break
-        if changed:
+    ``w`` holds the settled entries, which contain no forbidden fragment.
+    An entry x < 1 is glued to the next entry y as (x+1, 1, y+1), or, if
+    it is the last, to the previous one taken back off ``w``.  Any other
+    entry is pushed, and a forbidden fragment can then only end at it:
+    (a, 1, b) with a, b > 1 becomes (a-1, b-1) and (c, 1, 1, d) becomes
+    (c+d-1), until the end of ``w`` is clean again.
+    """
+    todo = entries[::-1]  # the raw entries, next one last
+    w: list[int] = []
+    while todo:
+        x = todo.pop()
+        if x < 1:
+            u, v = (x, todo.pop()) if todo else (w.pop(), x)
+            todo += [v + 1, 1, u + 1]  # (u, v) -> (u+1, 1, v+1)
             continue
-        for i in range(1, n - 2):
-            if w[i] == 1 and w[i + 1] == 1:
-                w[i - 1:i + 3] = [w[i - 1] + w[i + 2] - 1]
-                changed = True
+        w.append(x)
+        while True:
+            if len(w) >= 3 and w[-2] == 1 and w[-3] > 1 and w[-1] > 1:
+                w[-3:] = [w[-3] - 1, w[-1] - 1]
+            elif len(w) >= 4 and w[-3] == w[-2] == 1:
+                w[-4:] = [w[-4] + w[-1] - 1]
+            else:
                 break
-        if not changed:
-            return tuple(w)
+    return tuple(w)
 
 
 def reduced_decomposition(a) -> Word:
@@ -138,9 +126,7 @@ def reduced_decomposition(a) -> Word:
     m = _as_matrix(a)
     if m.det() != 1:
         raise ValueError(f"determinant must be 1, got {m.det()}")
-    if m in (IDENTITY, NEG_IDENTITY):
-        return (1, 1, 1)
-    word = _linear_reduce(_positify(_euclid_word(m)))
+    word = _normalize(_euclid_word(m))
     prod = word_product(word)
     if prod != m and prod != -m:
         raise AssertionError(f"decomposition of {m} lost the product")

@@ -161,6 +161,19 @@ def test_frieze_json(capsys):
     assert doc["tame"] is True
 
 
+@pytest.mark.parametrize("word, cls, reason", [
+    # M = Id: a solution, but friezes come from Problems II and III
+    ("1,1,1,1,1,1", "I", "a Problem I solution; friezes are built from Problem II or III solutions"),
+    ("3,3,3", "none", "not a solution"),
+])
+def test_frieze_refused(capsys, word, cls, reason):
+    entries = [int(x) for x in word.split(",")]
+    code, out, _ = run(capsys, "frieze", word)
+    assert (code, out) == (1, f"{tuple(entries)}: {reason}\n")
+    code, out, _ = run(capsys, "--format", "json", "frieze", word)
+    assert (code, out) == (1, json.dumps({"word": entries, "class": cls}, sort_keys=True) + "\n")
+
+
 def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "2,1,1,1")
     assert code == 0

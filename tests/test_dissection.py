@@ -406,6 +406,18 @@ def test_validation_matches_pairwise_check():
                     Dissection(n, frozenset(subset))
 
 
+@pytest.mark.parametrize("n, diagonals, message", [
+    (6, {(0, 1), (0, 9)}, "(0, 1) is a boundary edge, not a diagonal"),
+    # a range error wins over a crossing
+    (6, {(0, 3), (1, 4), (2, 9)}, "diagonal (2, 9) must satisfy 0 <= i < j < n"),
+    # the sweep meets (1, 3) first, but (0, 4) and (2, 6) come first in sorted order
+    (8, {(0, 4), (1, 3), (2, 6)}, "diagonals (0, 4) and (2, 6) cross"),
+])
+def test_validation_message_precedence(n, diagonals, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Dissection(n, frozenset(diagonals))
+
+
 def _filtered(n, key):
     """The dissections of the n-gon grouped by ``key``, each group in
     enumeration order: the filter the quiddity search replaced, run once

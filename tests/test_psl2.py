@@ -102,6 +102,27 @@ def test_reduced_word_round_trip():
                 assert reduced_decomposition(word_product(w)) == w
 
 
+@pytest.mark.parametrize("m", [1, 2, 10, 5000])
+def test_closed_forms(m):
+    # T^m, T^-m, L^m and L^-m, with L = [[1, 0], [1, 1]]
+    assert reduced_decomposition(Mat2(1, m, 0, 1)) == (1, 1, m + 1)
+    assert reduced_decomposition(Mat2(1, -m, 0, 1)) == (1,) + (2,) * m + (1, 1)
+    assert reduced_decomposition(Mat2(1, 0, m, 1)) == (1, 1) + (2,) * m + (1,)
+    assert reduced_decomposition(Mat2(1, 0, -m, 1)) == (m + 1, 1, 1)
+
+
+def test_long_reduced_words_round_trip():
+    # length 20..60, interior entries 2..9, an optional 1 or 1, 1 at either end
+    rng = random.Random(3)
+    ends = [(), (1,), (1, 1)]
+    for _ in range(500):
+        head, tail = rng.choice(ends), rng.choice(ends)
+        size = rng.randint(20, 60) - len(head) - len(tail)
+        w = head + tuple(rng.randint(2, 9) for _ in range(size)) + tail
+        assert is_reduced(w)
+        assert reduced_decomposition(word_product(w)) == w
+
+
 def test_uniqueness_spot_check():
     assert uniqueness_spot_check(5)
     with pytest.raises(BudgetExceededError):
