@@ -38,7 +38,6 @@ from .search import (
     count_table,
     entry_bound,
     generative_enumerate,
-    orbit_count,
     orbit_representatives,
     sum_bound,
 )
@@ -46,7 +45,6 @@ from .dissection import (
     Dissection,
     dihedral_classes,
     dissections_with_quiddity,
-    enumerate_dissections,
     even_face_parity,
     faces,
     from_certificate,
@@ -72,7 +70,6 @@ from .frieze import (
 )
 from .psl2 import (
     ElementQuiddity,
-    GroupElement,
     conjecture_probe,
     element_dissection,
     element_index,

@@ -232,8 +232,10 @@ class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one ``error:`` line, exit code 2;
     ``add_subparsers`` builds the subcommand parsers with this class too."""
 
+    hint = ""  # appended to the error line
+
     def error(self, message):
-        self.exit(EXIT_USAGE, f"error: {message}\n")
+        self.exit(EXIT_USAGE, f"error: {message}{self.hint}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,6 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="reduced decomposition of a matrix a,b,c,d")
     p.add_argument("matrix")
+    # argparse reads -1,0,0,-1 as an option, so the matrix is then missing
+    p.hint = (" (a matrix whose first entry is negative goes after --,"
+              " as in: decompose -- -1,0,0,-1)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("farey", help="quiddity of the Farey polygon of an order")

@@ -180,16 +180,16 @@ def is_centrally_symmetric(d: Dissection) -> bool:
     return _image(d.diagonals, lambda v: (v + h) % d.n) == d.diagonals
 
 
-def half_quiddity(d: Dissection, start: int = 0) -> Word:
-    """Entries start..start+n/2-1 of the quiddity, which must be
+def half_quiddity(d: Dissection) -> Word:
+    """The first n/2 entries of the quiddity, which must be
     (n/2)-periodic."""
     if d.n % 2 != 0:
         raise ValueError("half-quiddity needs an even vertex count")
     q = quiddity(d)
     h = d.n // 2
-    if any(q[i] != q[(i + h) % d.n] for i in range(d.n)):
+    if q[:h] != q[h:]:
         raise ValueError("quiddity is not half-periodic")
-    return tuple(q[(start + i) % d.n] for i in range(h))
+    return q[:h]
 
 
 # -- construction from a reduction certificate ------------------------------
@@ -271,9 +271,9 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
 # -- exhaustive enumeration --------------------------------------------------
 
 
-def _diagonal_lists(n: int, allowed: frozenset[int]) -> Iterator[list[Diagonal]]:
-    """The diagonals of every dissection of the n-gon into faces with
-    sizes in ``allowed``, grouped by the face on edge (0, 1): one closing
+def _diagonal_lists(n: int) -> Iterator[list[Diagonal]]:
+    """The diagonals of every 3d-dissection of the n-gon, grouped by the
+    face on edge (0, 1), by its size and then its vertices: one closing
     chord per arc of at least three vertices that this face leaves over,
     then the diagonals cut inside each arc, in nested product order.
 
@@ -292,9 +292,7 @@ def _diagonal_lists(n: int, allowed: frozenset[int]) -> Iterator[list[Diagonal]]
     memo: dict[int, list[tuple[Diagonal, ...]]] = {}
 
     def lists(m: int) -> Iterator[list[Diagonal]]:
-        for k in sorted(allowed):
-            if k > m:
-                break
+        for k in range(3, m + 1, 3):
             for rest in itertools.combinations(range(2, m), k - 2):
                 ends = (1,) + rest + (m,)
                 chords = []
@@ -404,49 +402,16 @@ def _check_polygon(n: int, budget: Optional[int]) -> None:
         raise ValueError("no polygon with fewer than 3 vertices")
 
 
-def iter_dissections(
-    n: int,
-    budget: Optional[int] = None,
-    face_sizes: Optional[Iterable[int]] = None,
-) -> Iterator[Dissection]:
+def iter_dissections(n: int, budget: Optional[int] = None) -> Iterator[Dissection]:
     """Generate all 3d-dissections of the labeled n-gon, deterministically.
 
-    ``face_sizes`` restricts the allowed face sizes (default: all
-    multiples of 3 up to n).  Memory grows with the number of
-    dissections of the (n-1)-gon, which are all held from the first
-    item on (a tracemalloc peak of about 22 MiB at n = 14).
+    Memory grows with the number of dissections of the (n-1)-gon, which
+    are all held from the first item on (a tracemalloc peak of about
+    22 MiB at n = 14).
     """
     _check_polygon(n, budget)
-    if face_sizes is None:
-        allowed = frozenset(range(3, n + 1, 3))
-    else:
-        allowed = frozenset(face_sizes)
-        if any(s % 3 != 0 or s < 3 for s in allowed):
-            raise ValueError("face sizes must be multiples of 3")
-    for diagonals in _diagonal_lists(n, allowed):
+    for diagonals in _diagonal_lists(n):
         yield Dissection(n, frozenset(diagonals))
-
-
-def enumerate_dissections(
-    n: int,
-    budget: Optional[int] = None,
-    face_sizes: Optional[Iterable[int]] = None,
-    profile_filter: Optional[Sequence[int]] = None,
-) -> list[Dissection]:
-    """All 3d-dissections of the labeled n-gon, sorted by diagonal set.
-
-    ``profile_filter`` keeps only dissections whose multiset of face
-    sizes equals the given one.
-    """
-    if profile_filter is not None and face_sizes is None:
-        face_sizes = set(profile_filter)
-    want = tuple(sorted(profile_filter)) if profile_filter is not None else None
-    out = []
-    for d in iter_dissections(n, budget=budget, face_sizes=face_sizes):
-        if want is None or profile(d) == want:
-            out.append(d)
-    out.sort(key=lambda d: sorted(d.diagonals))
-    return out
 
 
 def dissections_with_quiddity(w: Sequence[int], budget: Optional[int] = None) -> list[Dissection]:
@@ -509,11 +474,12 @@ def to_dot(d: Dissection) -> str:
     return "\n".join(lines)
 
 
-def to_svg(d: Dissection, size: int = 400) -> str:
-    """SVG drawing: vertices on a circle, vertex 0 at the top, labels,
-    straight diagonals."""
+def to_svg(d: Dissection) -> str:
+    """SVG drawing, 400 units square: vertices on a circle, vertex 0 at
+    the top, labels, straight diagonals."""
     import math
 
+    size = 400
     r = size * 0.42
     cx = cy = size / 2.0
 

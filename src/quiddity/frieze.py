@@ -131,14 +131,14 @@ def is_totally_positive(w: Sequence[int]) -> bool:
     return sum(word) == sum_bound(cls, len(word))
 
 
-def render_text(f: Frieze, periods: int = 2) -> str:
-    """Staggered text layout: consecutive rows offset by half a column,
-    entries right-aligned."""
+def render_text(f: Frieze) -> str:
+    """Staggered text layout of two periods: consecutive rows offset by
+    half a column, entries right-aligned."""
     width = max(len(str(f.entry(r, i))) for r in range(f.r_max + 1) for i in range(f.n)) + 2
     lines = []
     for r in range(f.r_max + 1):
         pad = " " * (width // 2) if r % 2 else ""
-        cells = "".join(str(f.entry(r, i)).rjust(width) for i in range(f.n * periods))
+        cells = "".join(str(f.entry(r, i)).rjust(width) for i in range(2 * f.n))
         lines.append(pad + cells)
     return "\n".join(lines)
 

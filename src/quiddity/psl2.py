@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from . import limits
 from .dissection import Dissection, dissections_with_quiddity, from_certificate
@@ -40,41 +40,14 @@ WORD_S = (1, 1, 2, 1, 1)
 
 
 def _canonical_sign(m: Mat2) -> Mat2:
+    """The one of m and -m whose first non-zero entry is positive: the
+    key of m's class in PSL(2,Z)."""
     for x in (m.a, m.b, m.c, m.d):
         if x > 0:
             return m
         if x < 0:
             return -m
     raise ValueError("zero matrix cannot occur with determinant 1")
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A determinant-1 matrix considered up to global sign."""
-
-    representative: Mat2
-
-    def __post_init__(self):
-        if self.representative.det() != 1:
-            raise ValueError(f"determinant must be 1, got {self.representative.det()}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        a, b = self.representative, other.representative
-        return a == b or a == -b
-
-    def __hash__(self) -> int:
-        return hash(_canonical_sign(self.representative))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.representative.inverse())
-
-
-def _as_matrix(a) -> Mat2:
-    if isinstance(a, GroupElement):
-        return a.representative
-    return a
 
 
 def _euclid_word(a: Mat2) -> list[int]:
@@ -121,9 +94,8 @@ def _normalize(entries: list[int]) -> Word:
     return tuple(w)
 
 
-def reduced_decomposition(a) -> Word:
-    """The unique reduced positive word w with word_product(w) == +-a."""
-    m = _as_matrix(a)
+def reduced_decomposition(m: Mat2) -> Word:
+    """The unique reduced positive word w with word_product(w) == +-m."""
     if m.det() != 1:
         raise ValueError(f"determinant must be 1, got {m.det()}")
     word = _normalize(_euclid_word(m))
@@ -156,8 +128,9 @@ class ElementQuiddity:
         return from_certificate(reduce_word(self.combined))
 
 
-def element_quiddity(a) -> ElementQuiddity:
-    m = _as_matrix(a)
+def element_quiddity(m: Mat2) -> ElementQuiddity:
+    """The reduced words of m and m^{-1}, whose concatenation is a
+    Problem I or II solution."""
     left = reduced_decomposition(m)
     right = reduced_decomposition(m.inverse())
     combined = left + right
@@ -167,12 +140,12 @@ def element_quiddity(a) -> ElementQuiddity:
     return ElementQuiddity(left, right, cls is SolutionClass.PROBLEM_II)
 
 
-def element_dissection(a) -> Dissection:
-    return element_quiddity(a).dissection()
+def element_dissection(m: Mat2) -> Dissection:
+    return element_quiddity(m).dissection()
 
 
-def element_index(a) -> Fraction:
-    return element_quiddity(a).index()
+def element_index(m: Mat2) -> Fraction:
+    return element_quiddity(m).index()
 
 
 #: Entry ceiling for exhaustive reduced-word generation.  Entries of
@@ -182,14 +155,14 @@ def element_index(a) -> Fraction:
 DEFAULT_ENTRY_CAP = 6
 
 
-def _reduced_words(max_length: int, entry_cap: int) -> Iterator[Word]:
+def _reduced_words(max_length: int) -> Iterator[Word]:
     def extend(prefix: list[int]):
         n = len(prefix)
         if n >= 1:
             yield tuple(prefix)
         if n == max_length:
             return
-        for a in range(1, entry_cap + 1):
+        for a in range(1, DEFAULT_ENTRY_CAP + 1):
             # prune prefixes that already contain a forbidden fragment
             if n >= 2 and prefix[-1] == 1 and prefix[-2] > 1 and a > 1:
                 continue
@@ -204,13 +177,13 @@ def _reduced_words(max_length: int, entry_cap: int) -> Iterator[Word]:
             yield w
 
 
-def uniqueness_spot_check(max_length: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> bool:
+def uniqueness_spot_check(max_length: int) -> bool:
     """True iff no two distinct reduced words of length <= max_length
-    (entries <= entry_cap) have the same product up to sign."""
+    (entries <= DEFAULT_ENTRY_CAP) have the same product up to sign."""
     if max_length > 10:
         raise limits.BudgetExceededError("spot check is limited to length 10")
     seen: dict[Mat2, Word] = {}
-    for w in _reduced_words(max_length, entry_cap):
+    for w in _reduced_words(max_length):
         key = _canonical_sign(word_product(w))
         other = seen.setdefault(key, w)
         if other != w:

@@ -229,12 +229,6 @@ def orbit_representatives(s: SolutionSet, symmetry: str = "rotation") -> list[Wo
     return sorted({canonical(w) for w in s.words})
 
 
-def orbit_count(s: SolutionSet, symmetry: str = "rotation") -> int:
-    """Number of orbits of s.words under rotations, or rotations plus
-    reflections ("dihedral")."""
-    return len(orbit_representatives(s, symmetry))
-
-
 def count_table(
     problem: SolutionClass | str,
     n_max: int,

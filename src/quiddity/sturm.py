@@ -47,12 +47,11 @@ class BrokenLine:
     points: tuple[tuple[int, int], ...]
 
 
-def broken_line(w: Sequence[int], steps: int | None = None) -> BrokenLine:
+def broken_line(w: Sequence[int]) -> BrokenLine:
+    """The points P_0..P_n over one period of the word."""
     word = check_word(w)
-    if steps is None:
-        steps = len(word)
-    s1 = iterate(word, 1, 0, steps)
-    s2 = iterate(word, 0, 1, steps)
+    s1 = iterate(word, 1, 0, len(word))
+    s2 = iterate(word, 0, 1, len(word))
     points = tuple(zip(s1.values, s2.values))
     if any(p == (0, 0) for p in points):
         raise AssertionError("broken line passes through the origin")

@@ -133,21 +133,22 @@ def apply_step(w: Sequence[int], step: SurgeryStep) -> Word:
 
 
 def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
+    """Remove the 1 at position i and decrement its neighbors, keeping
+    the other entries in place.  The forward step glues after entry
+    i - 1 of the shorter word: its last entry when i == 0, and then a
+    shift of -1 brings the 1 back to the front."""
     n = len(word)
     if n < 3:
         raise ValueError("word too short to undo a type-1 surgery")
     left, right = (i - 1) % n, (i + 1) % n
     if word[i] != 1 or word[left] < 2 or word[right] < 2:
         raise ValueError(f"no isolated 1 with neighbors >= 2 at position {i}")
-    if i == 0:
-        out = (word[1] - 1,) + word[2:-1] + (word[-1] - 1,)
-        # glued at the end of the shorter word, then rotated to the front
-        return out, SurgeryStep(StepKind.TYPE1, n - 2, shift=-1)
-    if i == n - 1:
-        out = (word[0] - 1,) + word[1:-2] + (word[-2] - 1,)
-        return out, SurgeryStep(StepKind.TYPE1, n - 2)
-    out = word[:i - 1] + (word[i - 1] - 1, word[i + 1] - 1) + word[i + 2:]
-    return out, SurgeryStep(StepKind.TYPE1, i - 1)
+    out = list(word)
+    out[left] -= 1
+    out[right] -= 1
+    del out[i]
+    step = SurgeryStep(StepKind.TYPE1, (i - 1) % (n - 1), shift=-1 if i == 0 else 0)
+    return tuple(out), step
 
 
 def _inverse_type2(word: Word, i: int) -> tuple[Word, SurgeryStep]:

@@ -131,6 +131,17 @@ def test_dissect_render_dot(capsys):
     assert out.startswith("graph")
 
 
+def test_dissect_render_svg(capsys):
+    code, out, _ = run(capsys, "dissect", "1,3,1,2,2", "--render", "svg")
+    assert code == 0
+    assert out.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="400" height="400"')
+    assert out.endswith("</svg>\n")
+    # the pentagon and its two diagonals (1, 3) and (1, 4)
+    assert out.count("<polygon ") == 1
+    assert out.count("<line ") == 2
+    assert out.count("<text ") == 5
+
+
 def test_dissect_non_solution(capsys):
     code, _, _ = run(capsys, "dissect", "3,3,3")
     assert code == 1
@@ -213,6 +224,17 @@ def test_decompose_bad_det(capsys):
     code, _, err = run(capsys, "decompose", "1,2,3,4")
     assert code == 2
     assert "determinant" in err
+
+
+def test_decompose_negative_first_entry(capsys):
+    # argparse takes -1,0,0,-1 for an option; the error says to use --
+    code, out, err = run(capsys, "decompose", "-1,0,0,-1")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "after --" in err
+    code, out, _ = run(capsys, "--format", "json", "decompose", "--", "-1,0,0,-1")
+    assert code == 0
+    assert json.loads(out)["reduced"] == [1, 1, 1]
 
 
 def test_farey(capsys):

@@ -12,7 +12,6 @@ from quiddity.dissection import (
     Dissection,
     dihedral_classes,
     dissections_with_quiddity,
-    enumerate_dissections,
     even_face_parity,
     faces,
     from_certificate,
@@ -28,6 +27,7 @@ from quiddity.dissection import (
     to_dot,
     to_svg,
 )
+from quiddity.frieze import is_totally_positive
 from quiddity.limits import BudgetExceededError
 from quiddity.search import generative_enumerate
 from quiddity.surgery import (
@@ -69,9 +69,9 @@ def test_quiddity_needs_3d():
 
 def test_hexagon_count():
     # 14 triangulations plus the undissected hexagon
-    all_d = enumerate_dissections(6)
+    all_d = list(iter_dissections(6))
     assert len(all_d) == 15
-    assert len(enumerate_dissections(6, face_sizes=(3,))) == 14
+    assert sum(1 for d in all_d if profile(d) == (3, 3, 3, 3)) == 14
     assert sum(1 for d in all_d if d.diagonals == frozenset()) == 1
 
 
@@ -199,7 +199,7 @@ def test_certificate_counts_match_geometry():
 
 
 def test_octagon_profile_class():
-    found = enumerate_dissections(8, profile_filter=(3, 3, 6))
+    found = [d for d in iter_dissections(8) if profile(d) == (3, 3, 6)]
     assert len(found) == 36
     assert len(dihedral_classes(found)) == 4
 
@@ -249,33 +249,41 @@ def test_budget_guard():
         next(iter_dissections(15))
 
 
-def _reference_lists(poly, allowed):
+def _reference_lists(poly):
     """The enumerator's order, as a plain recursion on label tuples:
     for each face on edge (poly[0], poly[1]), by size and then by its
     vertices, the closing chords of the arcs it leaves over and, in
     nested product order, the diagonals cut inside each arc."""
     m = len(poly)
-    for k in sorted(allowed):
-        if k > m:
-            break
+    for k in range(3, m + 1, 3):
         for rest in itertools.combinations(range(2, m), k - 2):
             cuts = (1,) + rest
             arcs = [poly[cuts[t]:cuts[t + 1] + 1] for t in range(len(cuts) - 1)]
             arcs.append(poly[cuts[-1]:] + (poly[0],))
             arcs = [a for a in arcs if len(a) >= 3]
             chords = [(min(a[0], a[-1]), max(a[0], a[-1])) for a in arcs]
-            for parts in itertools.product(*(_reference_lists(a, allowed) for a in arcs)):
+            for parts in itertools.product(*(_reference_lists(a) for a in arcs)):
                 yield chords + [d for part in parts for d in part]
 
 
-@pytest.mark.parametrize("face_sizes", [None, {3}, {3, 6}, {6, 9}])
-def test_enumeration_order_is_pinned(face_sizes):
+def test_enumeration_order_is_pinned():
     # _quiddity_lists promises this order, and test_search_equals_filter
     # compares its lists with the enumerator's
     for n in range(3, 12):
-        allowed = frozenset(range(3, n + 1, 3) if face_sizes is None else face_sizes)
-        expected = [frozenset(ds) for ds in _reference_lists(tuple(range(n)), allowed)]
-        assert [d.diagonals for d in iter_dissections(n, face_sizes=face_sizes)] == expected
+        expected = [frozenset(ds) for ds in _reference_lists(tuple(range(n)))]
+        assert [d.diagonals for d in iter_dissections(n)] == expected
+
+
+def test_conway_coxeter_triangulations():
+    # Conway-Coxeter: the quiddities of the triangulated n-gons are exactly
+    # the totally positive solutions of Problem II, C_{n-2} of them
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+    for n in range(3, 11):
+        triangulated = [quiddity(d) for d in iter_dissections(n)
+                        if profile(d) == (3,) * (n - 2)]
+        positive = {w for w in generative_enumerate("II", n).words if is_totally_positive(w)}
+        assert len(triangulated) == len(positive) == catalan[n - 2]
+        assert set(triangulated) == positive
 
 
 def test_enumeration_memory_stays_bounded():

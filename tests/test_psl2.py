@@ -7,7 +7,6 @@ from quiddity.limits import BudgetExceededError
 from quiddity.matrices import IDENTITY, Mat2, NEG_IDENTITY, word_product
 from quiddity.dissection import profile
 from quiddity.psl2 import (
-    GroupElement,
     conjecture_probe,
     element_dissection,
     element_index,
@@ -52,15 +51,6 @@ def test_identity_decomposition():
 def test_rejects_wrong_determinant():
     with pytest.raises(ValueError):
         reduced_decomposition(Mat2(2, 0, 0, 2))
-    with pytest.raises(ValueError):
-        GroupElement(Mat2(1, 0, 0, 2))
-
-
-def test_group_element_sign_quotient():
-    assert GroupElement(S) == GroupElement(-S)
-    assert GroupElement(S) != GroupElement(T)
-    assert len({GroupElement(S), GroupElement(-S), GroupElement(T)}) == 2
-    assert GroupElement(T).inverse() == GroupElement(T.inverse())
 
 
 def test_element_quiddities():

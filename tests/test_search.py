@@ -9,7 +9,6 @@ from quiddity.search import (
     count_table,
     entry_bound,
     generative_enumerate,
-    orbit_count,
     orbit_representatives,
     sum_bound,
 )
@@ -75,8 +74,8 @@ def test_sum_prune_misses_nothing():
 
 def test_orbit_counts():
     s = generative_enumerate("I", 7)
-    assert orbit_count(s, "rotation") == 1
-    assert orbit_count(s, "dihedral") == 1
+    assert len(orbit_representatives(s, "rotation")) == 1
+    assert len(orbit_representatives(s, "dihedral")) == 1
     # the 38 non-TP trace-zero words at n=6 fall into 4 dihedral classes
     s6 = generative_enumerate("III", 6)
     non_tp = [w for w in s6.words if not is_totally_positive(w)]
@@ -108,7 +107,7 @@ def test_orbit_representatives():
 
 def test_orbit_count_rejects_bad_symmetry():
     with pytest.raises(ValueError):
-        orbit_count(generative_enumerate("II", 4), "mirror")
+        orbit_representatives(generative_enumerate("II", 4), "mirror")
 
 
 def test_count_table_cross_checked():
