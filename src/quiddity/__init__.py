@@ -21,7 +21,6 @@ from .surgery import (
     NotASolutionError,
     ReductionCertificate,
     SolutionClass,
-    StepKind,
     SurgeryStep,
     apply_type1,
     apply_type2,
@@ -57,7 +56,7 @@ from .dissection import (
     symmetric_dissection,
     symmetric_dissections,
 )
-from .sturm import BrokenLine, SLSequence, broken_line, iterate, rotation_index, wronskian
+from .sturm import broken_line, iterate, rotation_index, wronskian
 from .frieze import (
     Frieze,
     check_diamond,

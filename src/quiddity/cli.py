@@ -32,17 +32,13 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_word(text: str) -> Word:
     try:
         entries = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse word {text!r}; expected comma-separated integers")
+        raise ValueError(f"cannot parse word {text!r}; expected comma-separated integers")
     if not entries or any(a < 1 for a in entries):
-        raise UsageError("word entries must be positive integers")
+        raise ValueError("word entries must be positive integers")
     return entries
 
 
@@ -181,10 +177,10 @@ def cmd_decompose(args) -> int:
     try:
         a, b, c, d = (int(x) for x in args.matrix.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse matrix {args.matrix!r}; expected a,b,c,d")
+        raise ValueError(f"cannot parse matrix {args.matrix!r}; expected a,b,c,d")
     m = Mat2(a, b, c, d)
     if m.det() != 1:
-        raise UsageError(f"matrix must have determinant 1, got {m.det()}")
+        raise ValueError(f"matrix must have determinant 1, got {m.det()}")
     q = psl2.element_quiddity(m)
     word = q.left  # the reduced decomposition of m
     index = q.index()
@@ -208,7 +204,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_farey(args) -> int:
     if args.order < 2:
-        raise UsageError("order must be >= 2")
+        raise ValueError("order must be >= 2")
     word = farey_quiddity(args.order)
     cls = solution_class(word)
     payload = {

@@ -48,7 +48,6 @@ from .surgery import (
     BASE_TRIANGLE,
     BASES_CENTRAL,
     ReductionCertificate,
-    StepKind,
     SurgeryStep,
 )
 
@@ -205,7 +204,7 @@ def _antipodal_steps(cert: ReductionCertificate) -> Iterator[SurgeryStep]:
     for step in cert.steps:
         yield replace(step, position=step.position + h, shift=0)
         yield step
-        h += 1 if step.kind is StepKind.TYPE1 else 3
+        h += 1 if step.split is None else 3
 
 
 def from_certificate(cert: ReductionCertificate) -> Dissection:
@@ -224,41 +223,35 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
         raise ValueError(f"no dissection replays a certificate with base {cert.base}")
 
     # Vertices are labelled in order of creation, so the n boundary labels
-    # are 0..n-1 and a new vertex is labelled n; ends[v] lists the far ends
-    # of the diagonals at v.
+    # are 0..n-1 and a new vertex is labelled n.  ends[v] lists the far
+    # ends of the diagonals at v in boundary order, from the side of v's
+    # preceding boundary vertex round to its following one.
     for step in steps:
         n = len(boundary)
         i = step.position
         if not 0 <= i < n:
             raise ValueError(f"step position {i} out of range")
-        if step.kind is StepKind.TYPE1:
-            # the glued triangle turns the edge it sits on into a diagonal
+        if step.split is None:
+            # the glued triangle turns the edge it sits on into a diagonal,
+            # the last at u and the first at nxt
             u, nxt = boundary[i], boundary[(i + 1) % n]
             ends[u].append(nxt)
-            ends[nxt].append(u)
+            ends[nxt].insert(0, u)
             ends.append([])
             boundary.insert(i + 1, n)
         else:
-            if step.split is None:
-                raise ValueError("type-2 step without a split")
             a1, a2 = step.split
             u = boundary[i]
-            deg = len(ends[u])
-            if not 1 <= a1 <= deg + 1 or a1 + a2 != deg + 2:
-                raise ValueError(f"split {step.split} does not fit a vertex in {deg + 1} faces")
-            x, y, u2 = n, n + 1, n + 2
-            ends += [[], [], []]
-            if deg:
-                # the diagonals at u, from the side of boundary[i - 1] round
-                # to boundary[i + 1]; the a'-th face lies between the
-                # (a'-1)-th and the a'-th, and the diagonals after it go to u2
-                pos = {v: k for k, v in enumerate(boundary)}
-                fan = sorted(ends[u], key=lambda v: (i - pos[v]) % n)
-                ends[u] = fan[:a1 - 1]
-                ends[u2] = fan[a1 - 1:]
-                for v in ends[u2]:
-                    ends[v][ends[v].index(u)] = u2
-            boundary[i:i + 1] = [u, x, y, u2]
+            fan = ends[u]
+            if not 1 <= a1 <= len(fan) + 1 or a1 + a2 != len(fan) + 2:
+                raise ValueError(f"split {step.split} does not fit a vertex in {len(fan) + 1} faces")
+            # the a'-th face at u lies between its (a'-1)-th and a'-th
+            # diagonals, and the diagonals after it move to u2 = n + 2
+            ends[u], moved = fan[:a1 - 1], fan[a1 - 1:]
+            ends += [[], [], moved]
+            for v in moved:
+                ends[v][ends[v].index(u)] = n + 2
+            boundary[i:i + 1] = [u, n, n + 1, n + 2]
         if step.shift:
             s = step.shift % len(boundary)
             boundary = boundary[s:] + boundary[:s]

@@ -113,7 +113,6 @@ class ElementQuiddity:
 
     left: Word
     right: Word
-    sign_defect: bool  # True when the combined product is -Id
 
     @property
     def combined(self) -> Word:
@@ -134,10 +133,9 @@ def element_quiddity(m: Mat2) -> ElementQuiddity:
     left = reduced_decomposition(m)
     right = reduced_decomposition(m.inverse())
     combined = left + right
-    cls = solution_class(combined)
-    if cls not in (SolutionClass.PROBLEM_I, SolutionClass.PROBLEM_II):
+    if solution_class(combined) not in (SolutionClass.PROBLEM_I, SolutionClass.PROBLEM_II):
         raise AssertionError(f"combined quiddity {combined} is not a Problem I/II solution")
-    return ElementQuiddity(left, right, cls is SolutionClass.PROBLEM_II)
+    return ElementQuiddity(left, right)
 
 
 def element_dissection(m: Mat2) -> Dissection:

@@ -7,23 +7,14 @@ denominator 1 or 2; no floating point is involved anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import Word, check_word
+from .matrices import check_word
 from .surgery import NotASolutionError, SolutionClass, solution_class
 
 
-@dataclass(frozen=True)
-class SLSequence:
-    """Values V_0..V_m of the recurrence, with the generating word."""
-
-    coefficients: Word
-    values: tuple[int, ...]
-
-
-def iterate(w: Sequence[int], v0: int, v1: int, steps: int) -> SLSequence:
+def iterate(w: Sequence[int], v0: int, v1: int, steps: int) -> tuple[int, ...]:
     """Run the recurrence for ``steps`` steps, producing V_0..V_steps.
 
     The coefficient applied at step i is a_i = w[(i-1) mod n], so that
@@ -36,35 +27,28 @@ def iterate(w: Sequence[int], v0: int, v1: int, steps: int) -> SLSequence:
     values = [v0, v1][:steps + 1]
     for i in range(1, steps):
         values.append(word[(i - 1) % n] * values[i] - values[i - 1])
-    return SLSequence(word, tuple(values))
+    return tuple(values)
 
 
-@dataclass(frozen=True)
-class BrokenLine:
-    """Points P_i = (V1_i, V2_i) built from the two basis sequences with
-    initial data (1,0) and (0,1)."""
-
-    points: tuple[tuple[int, int], ...]
-
-
-def broken_line(w: Sequence[int]) -> BrokenLine:
-    """The points P_0..P_n over one period of the word."""
+def broken_line(w: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The points P_i = (V1_i, V2_i), i = 0..n, over one period of the
+    word, from the two basis sequences with initial data (1,0) and (0,1)."""
     word = check_word(w)
     s1 = iterate(word, 1, 0, len(word))
     s2 = iterate(word, 0, 1, len(word))
-    points = tuple(zip(s1.values, s2.values))
+    points = tuple(zip(s1, s2))
     if any(p == (0, 0) for p in points):
         raise AssertionError("broken line passes through the origin")
-    return BrokenLine(points)
+    return points
 
 
-def wronskian(b: BrokenLine) -> int:
-    """The common cross product of consecutive points."""
-    if len(b.points) < 2:
+def wronskian(points: Sequence[tuple[int, int]]) -> int:
+    """The common cross product of consecutive points of a broken line."""
+    if len(points) < 2:
         raise ValueError("need at least two points")
-    (x0, y0), (x1, y1) = b.points[0], b.points[1]
+    (x0, y0), (x1, y1) = points[0], points[1]
     w = x1 * y0 - x0 * y1
-    for (xa, ya), (xb, yb) in zip(b.points, b.points[1:]):
+    for (xa, ya), (xb, yb) in zip(points, points[1:]):
         if xb * ya - xa * yb != w:
             raise AssertionError("Wronskian is not constant; broken invariant")
     if w == 0:
@@ -89,7 +73,7 @@ def rotation_index(w: Sequence[int]) -> Fraction:
     if cls is SolutionClass.PROBLEM_III:
         word = word + word
     n = len(word)
-    values = iterate(word, 0, 1, n).values
+    values = iterate(word, 0, 1, n)
     s = sum(1 for i in range(n) if values[i] == 0)
     s += sum(1 for i in range(n) if values[i] * values[i + 1] < 0)
     return Fraction(s, 2)

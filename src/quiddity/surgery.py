@@ -21,7 +21,6 @@ not merely up to rotation.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,21 +45,13 @@ class NotASolutionError(ValueError):
         self.word = word
 
 
-class StepKind(enum.Enum):
-    TYPE1 = "type1"
-    TYPE2 = "type2"
-
-
 @dataclass(frozen=True)
 class SurgeryStep:
-    """One forward surgery step.
-
-    ``position`` indexes the representative the step is applied to.  For
-    TYPE2, ``split`` is the pair (a', a'').  The spliced result is then
-    rotated by ``shift`` (``matrices.rotate``); any integer is allowed.
+    """One forward surgery step at ``position`` of the stored word: type 2
+    when it has a ``split`` (a', a''), else type 1.  The spliced result is
+    then rotated by ``shift`` (``matrices.rotate``); any integer is allowed.
     """
 
-    kind: StepKind
     position: int
     split: Optional[tuple[int, int]] = None
     shift: int = 0
@@ -81,12 +72,12 @@ class ReductionCertificate:
     @property
     def type1_count(self) -> int:
         """S: number of triangle-gluing (type 1) steps."""
-        return sum(1 for s in self.steps if s.kind is StepKind.TYPE1)
+        return sum(1 for s in self.steps if s.split is None)
 
     @property
     def type2_count(self) -> int:
         """R: number of entry-splitting (type 2) steps."""
-        return sum(1 for s in self.steps if s.kind is StepKind.TYPE2)
+        return sum(1 for s in self.steps if s.split is not None)
 
     def replay(self) -> Word:
         w = self.base
@@ -105,9 +96,11 @@ def apply_type1(w: Sequence[int], i: int) -> Word:
     n = len(word)
     if not 0 <= i < n:
         raise ValueError(f"position {i} out of range for word of length {n}")
-    if i < n - 1:
-        return word[:i] + (word[i] + 1, 1, word[i + 1] + 1) + word[i + 2:]
-    return (word[0] + 1,) + word[1:-1] + (word[-1] + 1, 1)
+    out = list(word)
+    out[i] += 1
+    out[(i + 1) % n] += 1
+    out.insert(i + 1, 1)
+    return tuple(out)
 
 
 def apply_type2(w: Sequence[int], i: int, split: tuple[int, int]) -> Word:
@@ -123,10 +116,8 @@ def apply_type2(w: Sequence[int], i: int, split: tuple[int, int]) -> Word:
 
 
 def apply_step(w: Sequence[int], step: SurgeryStep) -> Word:
-    if step.kind is StepKind.TYPE1:
+    if step.split is None:
         out = apply_type1(w, step.position)
-    elif step.split is None:
-        raise ValueError("type-2 step without a split")
     else:
         out = apply_type2(w, step.position, step.split)
     return rotate(out, step.shift) if step.shift else out
@@ -147,7 +138,7 @@ def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
     out[left] -= 1
     out[right] -= 1
     del out[i]
-    step = SurgeryStep(StepKind.TYPE1, (i - 1) % (n - 1), shift=-1 if i == 0 else 0)
+    step = SurgeryStep((i - 1) % (n - 1), shift=-1 if i == 0 else 0)
     return tuple(out), step
 
 
@@ -162,11 +153,11 @@ def _inverse_type2(word: Word, i: int) -> tuple[Word, SurgeryStep]:
     merged = outer1 + outer2 - 1
     if q <= n - 4:
         out = word[:q] + (merged,) + word[q + 4:]
-        return out, SurgeryStep(StepKind.TYPE2, q, (outer1, outer2))
+        return out, SurgeryStep(q, (outer1, outer2))
     # the fragment wraps round the end: split the front entry, then rotate
     # the fragment's first n - q entries back to the end
     out = (merged,) + word[q + 4 - n:q]
-    return out, SurgeryStep(StepKind.TYPE2, 0, (outer1, outer2), shift=n - q)
+    return out, SurgeryStep(0, (outer1, outer2), shift=n - q)
 
 
 def inverse_type1(w: Sequence[int], i: int) -> Word:
@@ -204,7 +195,7 @@ def reduce_word(w: Sequence[int]) -> ReductionCertificate:
         if not central and cur == BASE_TRIANGLE:
             break
         step = None
-        if n - 3 >= min_length and n >= 5:
+        if n - 3 >= min_length:
             for i in range(n):
                 if cur[i] == 1 and cur[(i + 1) % n] == 1:
                     cur, step = _inverse_type2(cur, i)

@@ -96,6 +96,32 @@ def test_dissect_json(capsys):
     assert sorted(map(tuple, doc["diagonals"])) == [(1, 3), (1, 4)]
 
 
+@pytest.mark.parametrize("word, line", [
+    # Problem I; its third step splits (2, 2) at a vertex with two diagonals
+    ('1,2,1,2,1,2,2,1,3',
+     '{"diagonals": [[1, 8], [3, 5], [6, 8]], "faces": [[0, 1, 8], [1, 2, 3, 5, 6, 8], [3, 4, 5], [6, 7, 8]], "n": 9, "quiddity": [1, 2, 1, 2, 1, 2, 2, 1, 3]}'),
+    # the first word reflected and rotated; its certificate shifts otherwise
+    ('2,1,3,1,2,2,1,2,1',
+     '{"diagonals": [[0, 2], [2, 4], [5, 7]], "faces": [[0, 1, 2], [0, 2, 4, 5, 7, 8], [2, 3, 4], [5, 6, 7]], "n": 9, "quiddity": [2, 1, 3, 1, 2, 2, 1, 2, 1]}'),
+    # Problem II; splits (2, 2) and then (3, 1) at vertices with diagonals
+    ('1,1,1,1,2,1,2,1,2,2,1,3',
+     '{"diagonals": [[4, 11], [6, 8], [9, 11]], "faces": [[0, 1, 2, 3, 4, 11], [4, 5, 6, 8, 9, 11], [6, 7, 8], [9, 10, 11]], "n": 12, "quiddity": [1, 1, 1, 1, 2, 1, 2, 1, 2, 2, 1, 3]}'),
+    # Problem III: the first split moves the diameter of the base (2, 1)
+    ('2,1,2,1,2,1',
+     '{"diagonals": [[0, 2], [4, 10], [6, 8]], "faces": [[0, 1, 2], [0, 2, 3, 4, 10, 11], [4, 5, 6, 8, 9, 10], [6, 7, 8]], "n": 12, "quiddity": [2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1]}'),
+    # Problem III from the other base
+    ('1,2,1,2,1,2',
+     '{"diagonals": [[1, 11], [3, 9], [5, 7]], "faces": [[0, 1, 11], [1, 2, 3, 9, 10, 11], [3, 4, 5, 7, 8, 9], [5, 6, 7]], "n": 12, "quiddity": [1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2]}'),
+])
+def test_dissect_json_bytes(capsys, word, line):
+    # each word has more than one dissection (3 centrally symmetric ones
+    # for the Problem III words); the bytes pin the one that replaying
+    # the word's reduction certificate builds
+    code, out, _ = run(capsys, "--format", "json", "dissect", word)
+    assert code == 0
+    assert out == line + "\n"
+
+
 def test_dissect_all(capsys):
     code, out, _ = run(capsys, "dissect", "2,1,2,1,2,1,2,1", "--all")
     assert code == 0

@@ -34,7 +34,6 @@ from quiddity.surgery import (
     BASE_TRIANGLE,
     ReductionCertificate,
     SolutionClass,
-    StepKind,
     SurgeryStep,
     apply_step,
     reduce_word,
@@ -107,19 +106,15 @@ def test_round_trip_all_solutions():
             assert len(d.diagonals) == 2 * cert.type1_count + 1
 
 
-T1, T2 = StepKind.TYPE1, StepKind.TYPE2
-
-
 @pytest.mark.parametrize("base,steps", [
-    ((1, 1, 1), [SurgeryStep(T2, 0)]),
-    ((1, 1, 1), [SurgeryStep(T1, 3)]),
-    ((1, 1, 1), [SurgeryStep(T2, -1, (1, 1))]),
-    ((1, 1, 1), [SurgeryStep(T2, 0, (2, 1))]),
-    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (1, 1))]),
-    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (3, 0))]),
-    ((2, 1), [SurgeryStep(T1, 2)]),
-    ((2, 1), [SurgeryStep(T2, 0, (3, 1))]),
-], ids=["type2-no-split", "position-too-large", "position-negative", "split-too-large",
+    ((1, 1, 1), [SurgeryStep(3)]),
+    ((1, 1, 1), [SurgeryStep(-1, (1, 1))]),
+    ((1, 1, 1), [SurgeryStep(0, (2, 1))]),
+    ((1, 1, 1), [SurgeryStep(0), SurgeryStep(0, (1, 1))]),
+    ((1, 1, 1), [SurgeryStep(0), SurgeryStep(0, (3, 0))]),
+    ((2, 1), [SurgeryStep(2)]),
+    ((2, 1), [SurgeryStep(0, (3, 1))]),
+], ids=["position-too-large", "position-negative", "split-too-large",
         "split-too-small", "split-zero", "III-position-too-large", "III-split-too-large"])
 def test_malformed_certificate_rejected_by_both_replays(base, steps):
     cert = ReductionCertificate(base, tuple(steps))
@@ -130,17 +125,17 @@ def test_malformed_certificate_rejected_by_both_replays(base, steps):
 
 
 @pytest.mark.parametrize("base,steps", [
-    ((1, 1, 1), [SurgeryStep(T1, 2, shift=-1)]),
-    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T1, 3, shift=-1)]),
-    ((1, 1, 1), [SurgeryStep(T2, 0, (1, 1), shift=1)]),
-    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T2, 0, (2, 1), shift=3)]),
-    ((1, 1, 1), [SurgeryStep(T1, 2), SurgeryStep(T2, 0, (1, 2))]),
-    ((1, 2), [SurgeryStep(T1, 1, shift=-1), SurgeryStep(T2, 0, (1, 1), shift=2)]),
-    ((1, 1, 1), [SurgeryStep(T1, 0, shift=-1)]),
-    ((1, 1, 1), [SurgeryStep(T1, 0), SurgeryStep(T1, 1, shift=-6)]),
-    ((1, 1, 1), [SurgeryStep(T2, 1, (1, 1), shift=1)]),
-    ((1, 1, 1), [SurgeryStep(T2, 0, (1, 1), shift=10)]),
-    ((1, 2), [SurgeryStep(T1, 0, shift=-1)]),
+    ((1, 1, 1), [SurgeryStep(2, shift=-1)]),
+    ((1, 1, 1), [SurgeryStep(0), SurgeryStep(3, shift=-1)]),
+    ((1, 1, 1), [SurgeryStep(0, (1, 1), shift=1)]),
+    ((1, 1, 1), [SurgeryStep(0), SurgeryStep(0, (2, 1), shift=3)]),
+    ((1, 1, 1), [SurgeryStep(2), SurgeryStep(0, (1, 2))]),
+    ((1, 2), [SurgeryStep(1, shift=-1), SurgeryStep(0, (1, 1), shift=2)]),
+    ((1, 1, 1), [SurgeryStep(0, shift=-1)]),
+    ((1, 1, 1), [SurgeryStep(0), SurgeryStep(1, shift=-6)]),
+    ((1, 1, 1), [SurgeryStep(1, (1, 1), shift=1)]),
+    ((1, 1, 1), [SurgeryStep(0, (1, 1), shift=10)]),
+    ((1, 2), [SurgeryStep(0, shift=-1)]),
 ], ids=["type1-wrap", "type1-wrap-later", "type2-wrap", "type2-wrap-split", "type2-split",
         "III-wraps", "type1-shift-interior", "type1-shift-later",
         "type2-shift-interior", "type2-shift-overlong", "III-shift-interior"])
@@ -164,10 +159,10 @@ def test_shifted_certificates_agree_in_both_replays(base, data):
         i = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
         shift = data.draw(st.integers(min_value=-12, max_value=12))
         if data.draw(st.booleans()):
-            step = SurgeryStep(T1, i, shift=shift)
+            step = SurgeryStep(i, shift=shift)
         else:
             a1 = data.draw(st.integers(min_value=1, max_value=w[i]))
-            step = SurgeryStep(T2, i, (a1, w[i] + 1 - a1), shift)
+            step = SurgeryStep(i, (a1, w[i] + 1 - a1), shift)
         steps.append(step)
         w = apply_step(w, step)
     cert = ReductionCertificate(base, tuple(steps))

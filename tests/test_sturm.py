@@ -17,21 +17,20 @@ words = st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=8).
 
 
 def test_iterate_hexagon():
-    s = iterate((1,) * 6, 1, 0, 6)
-    assert s.values == (1, 0, -1, -1, 0, 1, 1)
+    assert iterate((1,) * 6, 1, 0, 6) == (1, 0, -1, -1, 0, 1, 1)
 
 
 def test_iterate_periodic_coefficients():
     # coefficients repeat with period n past the first period
-    s = iterate((2, 3), 0, 1, 6)
+    v = iterate((2, 3), 0, 1, 6)
     for i in range(1, 6):
-        assert s.values[i + 1] == (2, 3)[(i - 1) % 2] * s.values[i] - s.values[i - 1]
+        assert v[i + 1] == (2, 3)[(i - 1) % 2] * v[i] - v[i - 1]
 
 
 def test_broken_line_hexagon():
-    b = broken_line((1,) * 6)
-    assert b.points == ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0))
-    assert wronskian(b) == -1
+    points = broken_line((1,) * 6)
+    assert points == ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0))
+    assert wronskian(points) == -1
 
 
 @given(words)
