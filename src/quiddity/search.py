@@ -1,17 +1,21 @@
 """Two independent enumerators for the word equations.
 
-``brute_force_enumerate`` walks all tuples below the proved entry bound
-and the proved sum bound (every solution satisfies sum <= 3n-6,
+``brute_force_enumerate`` walks tuples below the proved entry bound and
+the proved sum bound (every solution satisfies sum <= 3n-6,
 respectively 3n-3 for the trace-zero problem), carrying the running
 product as four integers and multiplying by one ``elementary`` matrix
-per visited tuple.  For M = Id and M = -Id it meets in the middle: the
-left halves are indexed by the matrix the right half must equal, and
-the right halves are streamed against that index.  For trace zero, a
-condition no such index can match, it walks the first n-1 entries depth
-first and solves the trace condition, linear in the last entry, for
-it.  It uses only matrix products and the bounds, never the
-surgeries.  The sum bound is validated against the entry bound alone
-in the test suite for small n.
+per visited tuple.  Rotating a word conjugates its product and keeps
+its entries, so the three conditions and both bounds hold for all
+rotations of a word or for none.  The walk therefore visits only words
+whose first entry is their largest, at least one per rotation class,
+and adds every rotation of each hit.  For M = Id and M = -Id it meets
+in the middle: the short tails are indexed by their matrix, and the
+heads, largest entry first, are streamed against that index.  For trace
+zero, a condition no such index can match, it walks the first n-1
+entries depth first and solves the trace condition, linear in the last
+entry, for it.  It uses only matrix products, the bounds and rotations,
+never the surgeries.  The sum bound is validated against the entry
+bound alone in the test suite for small n.
 
 ``generative_enumerate`` grows the base solutions by the two surgeries,
 applied at every cyclic position of one representative per rotation
@@ -80,15 +84,18 @@ def sum_bound(problem: SolutionClass, n: int) -> int:
     return 3 * n - 3 if problem is SolutionClass.PROBLEM_III else 3 * n - 6
 
 
-def _walk(m: int, bound: int, cap: int) -> Iterator[tuple[Word, int, int, int, int, int]]:
-    """Every tuple of m >= 0 entries in 1..bound with entry sum <= cap, with
-    its product M = [[a, b], [c, d]] and the room left under the cap, as
-    (word, a, b, c, d, room).
+def _walk(m: int, bound: int, node: tuple) -> Iterator[tuple[Word, int, int, int, int, int]]:
+    """Every extension of the start node to m entries by entries in
+    1..bound that keeps the entry sum within its room, with its product
+    M = [[a, b], [c, d]] and the room left, as (word, a, b, c, d, room).
 
-    The product is carried as four integers; appending x multiplies it by
-    E(x) on the left, one ``elementary`` per visited tuple.
+    A node is (prefix, a, b, c, d, room): the root ((), 1, 0, 0, 1, cap)
+    walks every tuple with entry sum <= cap, and ``_max_first`` starts
+    one walk per first entry.  The product is carried as four integers; appending
+    x multiplies it by E(x) on the left, one ``elementary`` per visited
+    tuple.
     """
-    stack = [((), 1, 0, 0, 1, cap)]
+    stack = [node]
     while stack:
         node = stack.pop()
         word, a, b, c, d, room = node
@@ -103,6 +110,20 @@ def _walk(m: int, bound: int, cap: int) -> Iterator[tuple[Word, int, int, int, i
                           e.c * a + e.d * c, e.c * b + e.d * d, room - x))
 
 
+def _max_first(m: int, bound: int, cap: int) -> Iterator[tuple[Word, int, int, int, int, int]]:
+    """The nodes of the walk from the root ((), 1, 0, 0, 1, cap) to m >= 1
+    entries whose first entry f is their largest: one walk with entries
+    up to f from each prefix (f,)."""
+    for f in range(1, min(bound, cap - (m - 1)) + 1):
+        e = elementary(f)
+        yield from _walk(m, f, ((f,), e.a, e.b, e.c, e.d, cap - f))
+
+
+def _with_rotations(found: set[Word], w: Word) -> None:
+    """Add w and every rotation of it to found."""
+    found.update(w[k:] + w[:k] for k in range(len(w)))
+
+
 def brute_force_enumerate(
     problem: SolutionClass | str,
     n: int,
@@ -111,6 +132,11 @@ def brute_force_enumerate(
 ) -> SolutionSet:
     """Every tuple of length n below the proved entry bound whose matrix
     lands on the target.
+
+    All three conditions and both bounds are invariant under rotation
+    (rotating a word conjugates its product), and every rotation class
+    has a member whose first entry is its largest.  So only those words
+    are walked, and each hit brings in all n of its rotations.
 
     ``sum_prune=False`` caps the entry sum at ``bound * n``, which no
     tuple below the entry bound exceeds, instead of at the proved sum
@@ -122,16 +148,18 @@ def brute_force_enumerate(
     if n < 1:
         raise ValueError("length must be >= 1")
     bound = entry_bound(problem, n)
-    if bound < 1:
+    # a single entry a has trace a > 0, so Problem III starts at n = 2
+    if bound < 1 or n == 1:
         return SolutionSet(problem, n, ())
     smax = sum_bound(problem, n) if sum_prune else bound * n
+    found: set[Word] = set()
 
     if problem is SolutionClass.PROBLEM_III:
         # With P the first n-1 entries, trace M(P + (x,)) = x*a - c + b for
         # M(P) = [[a, b], [c, d]], so the last entry is solved, not walked.
-        found = []
-        for prefix, a, b, c, d, room in _walk(n - 1, bound, smax - 1):
-            top = min(bound, room + 1)
+        # It is capped, like every other entry, by the first one.
+        for prefix, a, b, c, d, room in _max_first(n - 1, bound, smax - 1):
+            top = min(prefix[0], room + 1)
             if a:
                 x, rest = divmod(c - b, a)
                 lasts = (x,) if rest == 0 and 1 <= x <= top else ()
@@ -140,24 +168,27 @@ def brute_force_enumerate(
             for x in lasts:
                 e = elementary(x)
                 if e.a * a + e.b * c + e.c * b + e.d * d == 0:
-                    found.append(prefix + (x,))
+                    _with_rotations(found, prefix + (x,))
         return SolutionSet(problem, n, tuple(sorted(found)))
 
-    # M(w) = M(right) * M(left), so M(w) = sign * Id exactly when
-    # M(right) = sign * M(left)^-1.  The shorter left half is indexed by
-    # that key and the right half is streamed against it; each half
-    # leaves room for the other's entries, at least 1 apiece.
+    # M(w) = M(tail) * M(head), so M(w) = sign * Id exactly when
+    # M(tail) = sign * M(head)^-1.  The shorter tail is indexed in full by
+    # its matrix, and the heads, largest entry first, are streamed against
+    # that index by the key.  Each half leaves room for the other's
+    # entries, at least 1 apiece.
     sign = 1 if problem is SolutionClass.PROBLEM_I else -1
     k = n // 2
     index: dict[tuple[int, int, int, int], list[Word]] = {}
-    for left, a, b, c, d, _ in _walk(k, bound, smax - (n - k)):
-        index.setdefault((sign * d, -sign * b, -sign * c, sign * a), []).append(left)
-    found = []
-    for right, a, b, c, d, _ in _walk(n - k, bound, smax - k):
-        lefts = index.get((a, b, c, d))
-        if lefts:
-            room = smax - sum(right)
-            found.extend(left + right for left in lefts if sum(left) <= room)
+    for tail, a, b, c, d, _ in _walk(k, bound, ((), 1, 0, 0, 1, smax - (n - k))):
+        index.setdefault((a, b, c, d), []).append(tail)
+    for head, a, b, c, d, room in _max_first(n - k, bound, smax - k):
+        tails = index.get((sign * d, -sign * b, -sign * c, sign * a))
+        if tails:
+            f = head[0]
+            for tail in tails:
+                # the head's room kept 1 apiece for the k tail entries
+                if max(tail) <= f and sum(tail) <= room + k:
+                    _with_rotations(found, head + tail)
     return SolutionSet(problem, n, tuple(sorted(found)))
 
 
@@ -196,17 +227,30 @@ def _closure(problem: SolutionClass, n_max: int) -> dict[int, dict[Word, int]]:
     return levels
 
 
+def _level_classes(
+    problem: SolutionClass, levels: dict[int, dict[Word, int]], n: int
+) -> list[Word]:
+    """The length-n representatives of one problem, one per rotation class."""
+    at_n = levels.get(n, {})
+    if problem is SolutionClass.PROBLEM_III:
+        return list(at_n)
+    wanted = 1 if problem is SolutionClass.PROBLEM_I else 0
+    return [w for w, parity in at_n.items() if parity == wanted]
+
+
 def _level_words(
     problem: SolutionClass, levels: dict[int, dict[Word, int]], n: int
 ) -> tuple[Word, ...]:
     """All rotations of the length-n representatives of one problem, sorted."""
-    at_n = levels.get(n, {})
-    if problem is SolutionClass.PROBLEM_III:
-        classes = list(at_n)
-    else:
-        wanted = 1 if problem is SolutionClass.PROBLEM_I else 0
-        classes = [w for w, parity in at_n.items() if parity == wanted]
+    classes = _level_classes(problem, levels, n)
     return tuple(sorted({w[k:] + w[:k] for w in classes for k in range(n)}))
+
+
+def _period(w: Word) -> int:
+    """The number of distinct rotations of w: the least p dividing len(w)
+    with w rotated by p equal to w."""
+    n = len(w)
+    return next(p for p in range(1, n + 1) if n % p == 0 and w[p:] + w[:p] == w)
 
 
 def generative_enumerate(
@@ -238,8 +282,10 @@ def count_table(
     """(n, solution count) for n up to n_max, from one generative
     closure built up to n_max.
 
-    Lengths up to ``cross_check_up_to`` are recomputed by brute force
-    and any disagreement raises.
+    Lengths up to ``cross_check_up_to`` list every word, which must equal
+    the brute-force oracle's words, or the table raises.  Longer lengths
+    list nothing: a rotation class of period p holds exactly p words, so
+    the count is the sum of the periods of the closure's representatives.
     """
     problem = _as_problem(problem)
     limits.check_budget(n_max, limits.DEFAULT_GENERATIVE_CEILING, budget, "generative search")
@@ -247,11 +293,13 @@ def count_table(
     n_min = 2 if problem is SolutionClass.PROBLEM_III else 3
     table = []
     for n in range(n_min, n_max + 1):
+        if n > cross_check_up_to:
+            table.append((n, sum(map(_period, _level_classes(problem, levels, n)))))
+            continue
         words = _level_words(problem, levels, n)
-        if n <= cross_check_up_to:
-            if brute_force_enumerate(problem, n, budget=budget).words != words:
-                raise AssertionError(
-                    f"enumerator disagreement for {problem.value}, n={n}"
-                )
+        if brute_force_enumerate(problem, n, budget=budget).words != words:
+            raise AssertionError(
+                f"enumerator disagreement for {problem.value}, n={n}"
+            )
         table.append((n, len(words)))
     return table

@@ -29,7 +29,7 @@ from quiddity.dissection import (
 )
 from quiddity.frieze import is_totally_positive
 from quiddity.limits import BudgetExceededError
-from quiddity.search import generative_enumerate
+from quiddity.search import generative_enumerate, orbit_representatives
 from quiddity.surgery import (
     BASE_TRIANGLE,
     ReductionCertificate,
@@ -452,6 +452,14 @@ def test_per_word_counts_sum_to_generating_function():
                               for w in generative_enumerate(p, n).words)
                        for p in ("I", "II")}
         assert per_problem == {"I": odd[n], "II": count - odd[n]}
+    # |D(w)| is the same for every rotation of w, so at n = 12 each rotation
+    # class is searched once and weighted by its number of distinct rotations
+    n = 12
+    odd_n = _odd_parity_counts(n)[n]
+    per_problem = {p: sum(len({w[k:] + w[:k] for k in range(n)}) * len(dissections_with_quiddity(w))
+                          for w in orbit_representatives(generative_enumerate(p, n)))
+                   for p in ("I", "II")}
+    assert per_problem == {"I": odd_n, "II": _dissection_counts(n)[n] - odd_n} == {"I": 12377, "II": 17706}
 
 
 def _half_turn_invariant(n, diagonals):

@@ -1,5 +1,10 @@
+import dataclasses
+import inspect
+
 import pytest
 
+import quiddity.search
+import quiddity.surgery
 from quiddity.frieze import is_totally_positive
 from quiddity.limits import BudgetExceededError
 from quiddity.search import (
@@ -62,6 +67,31 @@ def test_oracles_agree_at_larger_n():
             assert brute.words == generative_enumerate(problem, n).words, (problem, n)
         assert len(brute) == count
     assert len(generative_enumerate("III", 8)) == 4472
+    for n, count in ((9, 17772), (10, 71072)):
+        brute = brute_force_enumerate("III", n)
+        assert brute.words == generative_enumerate("III", n).words, ("III", n)
+        assert len(brute) == count
+
+
+def test_brute_force_uses_no_surgery(monkeypatch):
+    # the oracle stands apart from the closure: products, bounds and
+    # rotations only, so it must not notice every surgery failing
+    cases = [(p, n) for p in ("I", "II", "III") for n in range(1, 9)]
+    expected = {case: generative_enumerate(*case).words for case in cases}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force oracle called a surgery")
+
+    monkeypatch.setattr(quiddity.search, "apply_type1", refuse)
+    monkeypatch.setattr(quiddity.search, "apply_type2", refuse)
+    for name, value in vars(quiddity.surgery).items():
+        if (not name.startswith("_") and inspect.isfunction(value)
+                and value.__module__ == quiddity.surgery.__name__):
+            monkeypatch.setattr(quiddity.surgery, name, refuse)
+    for case in cases:
+        assert brute_force_enumerate(*case).words == expected[case], case
+    with pytest.raises(AssertionError, match="surgery"):
+        generative_enumerate("II", 4)
 
 
 def test_sum_prune_misses_nothing():
@@ -113,6 +143,30 @@ def test_orbit_count_rejects_bad_symmetry():
 def test_count_table_cross_checked():
     table = count_table("II", 7, cross_check_up_to=7)
     assert table == [(3, 1), (4, 2), (5, 5), (6, 14), (7, 42)]
+
+
+def test_count_table_counts_classes_by_period():
+    for problem, n_max in (("I", 11), ("II", 11), ("III", 9)):
+        start = 2 if problem == "III" else 3
+        expected = [(n, len(generative_enumerate(problem, n).words))
+                    for n in range(start, n_max + 1)]
+        assert count_table(problem, n_max) == expected, problem
+    # classes with fewer than n rotations must count their period, not n
+    assert (1, 3, 1, 3, 1, 3) in generative_enumerate("II", 6).words
+    assert (1, 2, 1, 2, 1, 2) in generative_enumerate("III", 6).words
+
+
+def test_count_table_raises_on_disagreement(monkeypatch):
+    oracle = brute_force_enumerate
+
+    def drops_a_word(problem, n, **kwargs):
+        s = oracle(problem, n, **kwargs)
+        return dataclasses.replace(s, words=s.words[1:]) if n == 6 else s
+
+    monkeypatch.setattr(quiddity.search, "brute_force_enumerate", drops_a_word)
+    assert count_table("II", 7, cross_check_up_to=5) == [(3, 1), (4, 2), (5, 5), (6, 14), (7, 42)]
+    with pytest.raises(AssertionError, match="II, n=6"):
+        count_table("II", 7, cross_check_up_to=6)
 
 
 def test_budget_guard():
