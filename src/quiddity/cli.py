@@ -179,8 +179,6 @@ def cmd_decompose(args) -> int:
     except ValueError:
         raise ValueError(f"cannot parse matrix {args.matrix!r}; expected a,b,c,d")
     m = Mat2(a, b, c, d)
-    if m.det() != 1:
-        raise ValueError(f"matrix must have determinant 1, got {m.det()}")
     q = psl2.element_quiddity(m)
     word = q.left  # the reduced decomposition of m
     index = q.index()
@@ -203,8 +201,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_farey(args) -> int:
-    if args.order < 2:
-        raise ValueError("order must be >= 2")
     word = farey_quiddity(args.order)
     cls = solution_class(word)
     payload = {

@@ -210,7 +210,12 @@ def _antipodal_steps(cert: ReductionCertificate) -> Iterator[SurgeryStep]:
 def from_certificate(cert: ReductionCertificate) -> Dissection:
     """Replay a reduction certificate into a dissection whose quiddity
     is the certificate's word w; for a Problem III certificate, into a
-    centrally symmetric dissection of the 2n-gon with quiddity w + w."""
+    centrally symmetric dissection of the 2n-gon with quiddity w + w.
+
+    ``cert.replay()`` checks every step against the word, whose entry
+    at a vertex is the number of faces there, so a step that passes it
+    fits the boundary and the diagonals here too."""
+    cert.replay()
     steps: Iterable[SurgeryStep]
     if cert.base == BASE_TRIANGLE:
         boundary, steps = [0, 1, 2], cert.steps
@@ -229,8 +234,6 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
     for step in steps:
         n = len(boundary)
         i = step.position
-        if not 0 <= i < n:
-            raise ValueError(f"step position {i} out of range")
         if step.split is None:
             # the glued triangle turns the edge it sits on into a diagonal,
             # the last at u and the first at nxt
@@ -240,14 +243,10 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
             ends.append([])
             boundary.insert(i + 1, n)
         else:
-            a1, a2 = step.split
-            u = boundary[i]
-            fan = ends[u]
-            if not 1 <= a1 <= len(fan) + 1 or a1 + a2 != len(fan) + 2:
-                raise ValueError(f"split {step.split} does not fit a vertex in {len(fan) + 1} faces")
+            u, cut = boundary[i], step.split[0] - 1
             # the a'-th face at u lies between its (a'-1)-th and a'-th
             # diagonals, and the diagonals after it move to u2 = n + 2
-            ends[u], moved = fan[:a1 - 1], fan[a1 - 1:]
+            ends[u], moved = ends[u][:cut], ends[u][cut:]
             ends += [[], [], moved]
             for v in moved:
                 ends[v][ends[v].index(u)] = n + 2

@@ -1,8 +1,9 @@
 """Resource ceilings for the exhaustive searches.
 
 The enumerators refuse lengths above a ceiling instead of silently
-truncating.  Ceilings can be raised per call or globally through the
-``QUIDDITY_BUDGET`` environment variable.
+truncating.  A ceiling can be set per call, or raised globally through
+the ``QUIDDITY_BUDGET`` environment variable, which never lowers a
+default ceiling.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def ceiling(default: int, override: int | None = None) -> int:
     env = os.environ.get(ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            return max(default, int(env))
         except ValueError:
             raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
     return default

@@ -48,8 +48,6 @@ class SolutionSet:
     convention of the source lists (e.g. 7 solutions at I, n=7).
     """
 
-    problem: SolutionClass
-    n: int
     words: tuple[Word, ...]
 
     def __len__(self) -> int:
@@ -150,7 +148,7 @@ def brute_force_enumerate(
     bound = entry_bound(problem, n)
     # a single entry a has trace a > 0, so Problem III starts at n = 2
     if bound < 1 or n == 1:
-        return SolutionSet(problem, n, ())
+        return SolutionSet(())
     smax = sum_bound(problem, n) if sum_prune else bound * n
     found: set[Word] = set()
 
@@ -169,7 +167,7 @@ def brute_force_enumerate(
                 e = elementary(x)
                 if e.a * a + e.b * c + e.c * b + e.d * d == 0:
                     _with_rotations(found, prefix + (x,))
-        return SolutionSet(problem, n, tuple(sorted(found)))
+        return SolutionSet(tuple(sorted(found)))
 
     # M(w) = M(tail) * M(head), so M(w) = sign * Id exactly when
     # M(tail) = sign * M(head)^-1.  The shorter tail is indexed in full by
@@ -189,7 +187,7 @@ def brute_force_enumerate(
                 # the head's room kept 1 apiece for the k tail entries
                 if max(tail) <= f and sum(tail) <= room + k:
                     _with_rotations(found, head + tail)
-    return SolutionSet(problem, n, tuple(sorted(found)))
+    return SolutionSet(tuple(sorted(found)))
 
 
 def _closure(problem: SolutionClass, n_max: int) -> dict[int, dict[Word, int]]:
@@ -261,7 +259,7 @@ def generative_enumerate(
     limits.check_budget(n, limits.DEFAULT_GENERATIVE_CEILING, budget, "generative search")
     if n < 1:
         raise ValueError("length must be >= 1")
-    return SolutionSet(problem, n, _level_words(problem, _closure(problem, n), n))
+    return SolutionSet(_level_words(problem, _closure(problem, n), n))
 
 
 def orbit_representatives(s: SolutionSet, symmetry: str = "rotation") -> list[Word]:

@@ -16,7 +16,8 @@ Positions are cyclic.  A step splices its entries into the stored
 tuple and then rotates the result by its ``shift``: a step that acts
 across the wrap-around point only changes which rotation of the word is
 stored, so certificate replay reproduces the original tuple exactly,
-not merely up to rotation.
+not merely up to rotation.  Every forward step is one ``_splice`` on a
+checked word; ``replay`` checks only the base.
 """
 
 from __future__ import annotations
@@ -80,10 +81,31 @@ class ReductionCertificate:
         return sum(1 for s in self.steps if s.split is not None)
 
     def replay(self) -> Word:
-        w = self.base
+        """The word the steps rebuild; the base is checked once."""
+        w = check_word(self.base)
         for step in self.steps:
-            w = apply_step(w, step)
+            w = _splice(w, step.position, step.split, step.shift)
         return w
+
+
+def _splice(word: Word, i: int, split: Optional[tuple[int, int]], shift: int) -> Word:
+    """One forward step on a checked word: type 1 at i when ``split`` is
+    None, else type 2 with that split, then a rotation by ``shift``."""
+    n = len(word)
+    if not 0 <= i < n:
+        raise ValueError(f"position {i} out of range for word of length {n}")
+    if split is None:
+        out = list(word)
+        out[i] += 1
+        out[(i + 1) % n] += 1
+        out.insert(i + 1, 1)
+        spliced = tuple(out)
+    else:
+        a1, a2 = split
+        if a1 < 1 or a2 < 1 or a1 + a2 != word[i] + 1:
+            raise ValueError(f"invalid split {split} for entry {word[i]}")
+        spliced = word[:i] + (a1, 1, 1, a2) + word[i + 1:]
+    return rotate(spliced, shift) if shift else spliced
 
 
 def apply_type1(w: Sequence[int], i: int) -> Word:
@@ -92,35 +114,16 @@ def apply_type1(w: Sequence[int], i: int) -> Word:
     For i == n-1 the insertion straddles the wrap-around and the new 1
     is appended at the end.
     """
-    word = check_word(w)
-    n = len(word)
-    if not 0 <= i < n:
-        raise ValueError(f"position {i} out of range for word of length {n}")
-    out = list(word)
-    out[i] += 1
-    out[(i + 1) % n] += 1
-    out.insert(i + 1, 1)
-    return tuple(out)
+    return _splice(check_word(w), i, None, 0)
 
 
 def apply_type2(w: Sequence[int], i: int, split: tuple[int, int]) -> Word:
     """Replace a_i by (a', 1, 1, a'') with a' + a'' = a_i + 1."""
-    word = check_word(w)
-    n = len(word)
-    if not 0 <= i < n:
-        raise ValueError(f"position {i} out of range for word of length {n}")
-    a1, a2 = split
-    if a1 < 1 or a2 < 1 or a1 + a2 != word[i] + 1:
-        raise ValueError(f"invalid split {split} for entry {word[i]}")
-    return word[:i] + (a1, 1, 1, a2) + word[i + 1:]
+    return _splice(check_word(w), i, split, 0)
 
 
 def apply_step(w: Sequence[int], step: SurgeryStep) -> Word:
-    if step.split is None:
-        out = apply_type1(w, step.position)
-    else:
-        out = apply_type2(w, step.position, step.split)
-    return rotate(out, step.shift) if step.shift else out
+    return _splice(check_word(w), step.position, step.split, step.shift)
 
 
 def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
@@ -184,16 +187,12 @@ def reduce_word(w: Sequence[int]) -> ReductionCertificate:
     if cls is SolutionClass.NOT_A_SOLUTION:
         raise NotASolutionError(word)
     central = cls is SolutionClass.PROBLEM_III
-    min_length = 2 if central else 3
+    min_length, bases = (2, BASES_CENTRAL) if central else (3, (BASE_TRIANGLE,))
 
     steps_reversed: list[SurgeryStep] = []
     cur = word
-    while True:
+    while cur not in bases:
         n = len(cur)
-        if central and cur in BASES_CENTRAL:
-            break
-        if not central and cur == BASE_TRIANGLE:
-            break
         step = None
         if n - 3 >= min_length:
             for i in range(n):

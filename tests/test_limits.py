@@ -19,3 +19,16 @@ def test_check_budget(monkeypatch):
         limits.check_budget(13, 12, None, "search")
     monkeypatch.setenv(limits.ENV_VAR, "13")
     limits.check_budget(13, 12, None, "search")
+
+
+def test_env_budget_never_lowers_a_default(monkeypatch):
+    from quiddity import dissection, search
+
+    monkeypatch.setenv(limits.ENV_VAR, "13")
+    assert limits.ceiling(limits.DEFAULT_GENERATIVE_CEILING) == 14
+    # both searches at n = 14 are within their default ceiling; only the
+    # budget checks run, the searches themselves are stubbed out
+    monkeypatch.setattr(search, "_closure", lambda problem, n: {})
+    monkeypatch.setattr(dissection, "_diagonal_lists", lambda n: iter(()))
+    assert len(search.generative_enumerate("I", 14)) == 0
+    assert list(dissection.iter_dissections(14)) == []

@@ -1,8 +1,13 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiddity.matrices import rotate, word_product
+import quiddity.surgery
+from quiddity.frieze import farey_quiddity
+from quiddity.matrices import check_word, rotate, word_product
+from quiddity.search import generative_enumerate
 from quiddity.surgery import (
     NotASolutionError,
     SolutionClass,
@@ -94,6 +99,36 @@ def test_reduce_word_replay_exact():
     cert = reduce_word(w)
     assert cert.replay() == w
     assert cert.base == (1, 1, 1)
+
+
+def test_replay_checks_the_word_once(monkeypatch):
+    w = farey_quiddity(20)
+    cert = reduce_word(w)
+    assert len(cert.steps) > 100
+    calls = []
+
+    def counting(word):
+        calls.append(len(word))
+        return check_word(word)
+
+    monkeypatch.setattr(quiddity.surgery, "check_word", counting)
+    assert cert.replay() == w
+    assert calls == [len(cert.base)]
+
+
+def test_certificates_are_pinned():
+    # sha256 of the (position, split, shift) lists of every I/II word with
+    # n <= 9 and every III word with n <= 7, in enumeration order
+    digest = hashlib.sha256()
+    count = 0
+    for problem, top in (("I", 9), ("II", 9), ("III", 7)):
+        for n in range(1, top + 1):
+            for w in generative_enumerate(problem, n).words:
+                steps = [(s.position, s.split, s.shift) for s in reduce_word(w).steps]
+                digest.update(f"{steps}\n".encode())
+                count += 1
+    assert count == 2342
+    assert digest.hexdigest() == "0c0cbbc2955cad7ec6a45746a5b70e39b339c71f7c2873e5f21ccf6e08aa0cce"
 
 
 def test_reduce_word_rotation_independent_counts():
