@@ -42,16 +42,13 @@ from .search import (
 )
 from .dissection import (
     Dissection,
-    dihedral_classes,
     dissections_with_quiddity,
     even_face_parity,
     faces,
     from_certificate,
-    half_quiddity,
     is_3d_dissection,
     is_centrally_symmetric,
     iter_dissections,
-    make_dissection,
     quiddity,
     symmetric_dissection,
     symmetric_dissections,

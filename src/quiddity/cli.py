@@ -2,14 +2,17 @@
 
 Subcommands: verify, enumerate, dissect, frieze, decompose, farey.
 Exit codes: 0 success, 1 domain negative (e.g. not a solution),
-2 usage error, 3 budget exceeded.  The QUIDDITY_BUDGET environment
-variable raises the enumeration ceilings globally.
+2 usage error, 3 budget exceeded, 141 stdout closed before the output
+was written (128 + SIGPIPE, as a shell reports a program that SIGPIPE
+ended), without a traceback.  The QUIDDITY_BUDGET environment variable
+raises the enumeration ceilings globally.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_CLOSED_STDOUT = 141
 
 
 def _parse_word(text: str) -> Word:
@@ -276,6 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so
+        # the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
+    """Parse the command line and run its subcommand; the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

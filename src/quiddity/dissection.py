@@ -7,8 +7,12 @@ one where every face has 3, 6, 9, ... vertices.  The quiddity of a
 faces adjacent to it.
 
 Faces are built once per dissection, by the constructor: one pass over
-the sorted diagonals checks each, then one sweep along the boundary
-checks that no two cross and collects the faces.  The enumerator,
+the sorted diagonals checks each and records, for every vertex, the far
+end of its outermost diagonal.  Every face has one chord, from its least
+vertex to its greatest, and is found by one walk along those far ends
+from that least vertex to the chord's other end.  A walk that passes the
+end of its chord shows two crossing diagonals, and every crossing makes
+some walk pass its end (``_sweep`` says why).  The enumerator,
 ``from_certificate`` and ``from_json`` hand over diagonals only, so
 every dissection gets its faces the same way.
 
@@ -38,9 +42,10 @@ centrally symmetric 2n-gon with quiddity w + w.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import limits
 from .matrices import Word, check_word
@@ -59,42 +64,52 @@ def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
     """The sorted faces of the n-gon cut by the diagonals, each with its
     vertices in increasing order; ValueError if a diagonal is invalid.
 
-    One pass over the sorted diagonals checks each and files its far end.
-    Walking the boundary from vertex 0, a diagonal (i, j) then opens a
-    face at i and closes it at j.  Open faces nest, so a diagonal that
-    ends beyond the innermost open face crosses the one that opened it.
+    One pass over the sorted diagonals checks each and fills hop[v], the
+    far end of v's outermost diagonal, or v + 1 when v has none.  Every
+    face has one chord, from its least vertex to its greatest: either a
+    diagonal or the edge (0, n - 1).  The face under diagonal (i, j)
+    starts at i, goes on to the far end of i's previous diagonal, or to
+    i + 1 for i's first, and follows ``hop`` from there up to j.  The face
+    on the edge (0, n - 1) follows ``hop`` from 0 up to n - 1 and sorts
+    after vertex 0's other faces, so the faces come out sorted, and every
+    vertex but n - 1 hops once.
+
+    A walk that passes its diagonal's end hops from a vertex inside the
+    diagonal to one beyond it, so two diagonals cross.  Every crossing is
+    caught that way: if (a, c) and (b, d) cross, a < b < c < d, take the
+    shortest diagonal (x, y) with x < b < y < d, such as (a, c).  Its walk
+    cannot hop over b, since that hop would be a shorter such diagonal or
+    would pass y, so it reaches b, and hop[b] >= d passes y.
     """
     diags = sorted(diagonals)
-    far: dict[int, list[int]] = {}  # far ends from outermost to innermost
     last = n - 1
+    hop = list(range(1, n + 1))
     for i, j in diags:
         if not 0 <= i < j < n:
             raise ValueError(f"diagonal {(i, j)} must satisfy 0 <= i < j < n")
         if j - i == 1 or j - i == last:
             raise ValueError(f"{(i, j)} is a boundary edge, not a diagonal")
-        if i in far:
-            far[i].insert(0, j)
-        else:
-            far[i] = [j]
+        hop[i] = j  # sorted, so i's outermost diagonal comes last
     out: list[Face] = []
-    stack: list[tuple[list[int], int]] = []
-    face: list[int] = []
-    end = n  # the face on edge (n-1, 0) closes after the last vertex
-    for v in range(n):
-        while end == v:
+    prev_i = prev_j = -1
+    for i, j in diags:
+        v = prev_j if i == prev_i else i + 1
+        prev_i, prev_j = i, j
+        face = [i, v]
+        while v < j:
+            v = hop[v]
             face.append(v)
-            out.append(tuple(face))
-            face, end = stack.pop()
+        if v != j:
+            a, b = next((a, b) for a, b in itertools.combinations(diags, 2)
+                        if a[0] < b[0] < a[1] < b[1])
+            raise ValueError(f"diagonals {a} and {b} cross")
+        out.append(tuple(face))
+    face = [0]
+    v = 0
+    while v < last:
+        v = hop[v]
         face.append(v)
-        for j in far.get(v, ()):
-            if j > end:
-                a, b = next((a, b) for a, b in itertools.combinations(diags, 2)
-                            if a[0] < b[0] < a[1] < b[1])
-                raise ValueError(f"diagonals {a} and {b} cross")
-            stack.append((face, end))
-            face, end = [v], j
-    out.append(tuple(face))
-    out.sort()
+    out.insert(bisect.bisect(diags, (0, last)), tuple(face))
     return tuple(out)
 
 
@@ -103,7 +118,10 @@ class Dissection:
     """A convex n-gon dissected by pairwise non-crossing diagonals.
 
     Construction checks the diagonals and builds the faces in one
-    ``_sweep``.  ``_faces`` holds the faces sorted; it takes no part in
+    ``_sweep``: a walk per face under its chord, which is a diagonal or
+    the edge (0, n - 1).  A walk that passes its chord's end raises for
+    the first crossing pair in sorted order, and a crossing always makes
+    one do so.  ``_faces`` holds the faces sorted; it takes no part in
     equality, hashing, ``repr`` or ``to_json``.
     """
 
@@ -122,11 +140,6 @@ class Dissection:
     @staticmethod
     def from_json(doc: dict) -> "Dissection":
         return Dissection(int(doc["n"]), frozenset((int(i), int(j)) for i, j in doc["diagonals"]))
-
-
-def make_dissection(n: int, diagonals: Iterable[Sequence[int]]) -> Dissection:
-    """Build a Dissection, normalizing each diagonal to (min, max)."""
-    return Dissection(n, frozenset((min(i, j), max(i, j)) for i, j in diagonals))
 
 
 def faces(d: Dissection) -> list[Face]:
@@ -165,30 +178,13 @@ def even_face_parity(d: Dissection) -> str:
     return "odd" if k % 2 == 1 else "even"
 
 
-def _image(diagonals: Iterable[Diagonal], vertex_map: Callable[[int], int]) -> frozenset[Diagonal]:
-    """The diagonals moved by ``vertex_map``, each normalised to (min, max)."""
-    moved = ((vertex_map(i), vertex_map(j)) for i, j in diagonals)
-    return frozenset((a, b) if a < b else (b, a) for a, b in moved)
-
-
 def is_centrally_symmetric(d: Dissection) -> bool:
     """True iff the diagonal set is invariant under i -> i + n/2."""
     if d.n % 2 != 0:
         raise ValueError("central symmetry needs an even vertex count")
-    h = d.n // 2
-    return _image(d.diagonals, lambda v: (v + h) % d.n) == d.diagonals
-
-
-def half_quiddity(d: Dissection) -> Word:
-    """The first n/2 entries of the quiddity, which must be
-    (n/2)-periodic."""
-    if d.n % 2 != 0:
-        raise ValueError("half-quiddity needs an even vertex count")
-    q = quiddity(d)
-    h = d.n // 2
-    if q[:h] != q[h:]:
-        raise ValueError("quiddity is not half-periodic")
-    return q[:h]
+    n, h = d.n, d.n // 2
+    turned = (((i + h) % n, (j + h) % n) for i, j in d.diagonals)
+    return frozenset((a, b) if a < b else (b, a) for a, b in turned) == d.diagonals
 
 
 # -- construction from a reduction certificate ------------------------------
@@ -412,23 +408,6 @@ def dissections_with_quiddity(w: Sequence[int], budget: Optional[int] = None) ->
     word = check_word(w)
     _check_polygon(len(word), budget)
     return [Dissection(len(word), frozenset(diagonals)) for diagonals in _quiddity_lists(word)]
-
-
-def dihedral_classes(ds: Iterable[Dissection]) -> list[Dissection]:
-    """One representative per orbit under rotations and reflections."""
-    seen = set()
-    reps = []
-    for d in ds:
-        n = d.n
-        images = set()
-        for k in range(n):
-            images.add(_image(d.diagonals, lambda v: (v + k) % n))
-            images.add(_image(d.diagonals, lambda v: (k - v) % n))
-        key = min(tuple(sorted(img)) for img in images)
-        if key not in seen:
-            seen.add(key)
-            reps.append(d)
-    return reps
 
 
 def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> Iterator[Dissection]:

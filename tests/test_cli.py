@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quiddity.cli import main
+import quiddity
+from quiddity.cli import EXIT_CLOSED_STDOUT, main
 from quiddity.dissection import faces
 from quiddity.frieze import frieze, render_text
 from quiddity.matrices import IDENTITY, NEG_IDENTITY, Mat2
@@ -298,3 +303,26 @@ def test_usage_error_from_argparse(capsys, argv):
     assert out.out == ""
     assert len(out.err.splitlines()) == 1
     assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "farey", "300"],
+    ["verify", "1,1,1"],
+    ["--help"],
+], ids=["write-fails", "flush-fails", "help"])
+def test_closed_stdout_exits_quietly(argv):
+    # the read end of stdout's pipe is closed before the CLI starts: farey
+    # 300 prints 83 kB and fails in print; verify's few lines, and the
+    # help that argparse prints, stay buffered until main flushes them
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(quiddity.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+    try:
+        r = subprocess.run([sys.executable, "-m", "quiddity.cli", *argv], stdout=write_end,
+                           stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert r.returncode == EXIT_CLOSED_STDOUT == 141
+    assert "Traceback" not in r.stderr
+    assert r.stderr == ""

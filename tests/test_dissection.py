@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 import tracemalloc
 
@@ -10,16 +11,13 @@ from hypothesis import strategies as st
 from quiddity.cli import main
 from quiddity.dissection import (
     Dissection,
-    dihedral_classes,
     dissections_with_quiddity,
     even_face_parity,
     faces,
     from_certificate,
-    half_quiddity,
     is_3d_dissection,
     is_centrally_symmetric,
     iter_dissections,
-    make_dissection,
     profile,
     quiddity,
     symmetric_dissection,
@@ -41,18 +39,48 @@ from quiddity.surgery import (
 )
 
 
+def _make_dissection(n, diagonals):
+    """A Dissection from diagonals given with their ends in either order."""
+    return Dissection(n, frozenset((min(i, j), max(i, j)) for i, j in diagonals))
+
+
+def _half_quiddity(d):
+    """The first n/2 entries of the quiddity, which must be (n/2)-periodic."""
+    if d.n % 2 != 0:
+        raise ValueError("half-quiddity needs an even vertex count")
+    q, h = quiddity(d), d.n // 2
+    if q[:h] != q[h:]:
+        raise ValueError("quiddity is not half-periodic")
+    return q[:h]
+
+
+def _dihedral_classes(ds):
+    """One representative per orbit under rotations and reflections."""
+    seen = set()
+    reps = []
+    for d in ds:
+        n = d.n
+        images = [[((i + k) % n, (j + k) % n) for i, j in d.diagonals] for k in range(n)]
+        images += [[((k - i) % n, (k - j) % n) for i, j in d.diagonals] for k in range(n)]
+        key = min(tuple(sorted((min(a, b), max(a, b)) for a, b in img)) for img in images)
+        if key not in seen:
+            seen.add(key)
+            reps.append(d)
+    return reps
+
+
 def test_make_dissection_validation():
-    make_dissection(6, [(0, 2), (0, 4)])
+    _make_dissection(6, [(0, 2), (0, 4)])
     with pytest.raises(ValueError):
-        make_dissection(6, [(0, 2), (1, 3)])  # crossing
+        _make_dissection(6, [(0, 2), (1, 3)])  # crossing
     with pytest.raises(ValueError):
-        make_dissection(6, [(0, 1)])  # boundary edge
+        _make_dissection(6, [(0, 1)])  # boundary edge
     with pytest.raises(ValueError):
-        make_dissection(6, [(0, 7)])
+        _make_dissection(6, [(0, 7)])
 
 
 def test_faces_of_fan():
-    d = make_dissection(5, [(0, 2), (0, 3)])
+    d = _make_dissection(5, [(0, 2), (0, 3)])
     assert faces(d) == [(0, 1, 2), (0, 2, 3), (0, 3, 4)]
     assert is_3d_dissection(d)
     assert profile(d) == (3, 3, 3)
@@ -60,7 +88,7 @@ def test_faces_of_fan():
 
 
 def test_quiddity_needs_3d():
-    d = make_dissection(6, [(0, 3)])
+    d = _make_dissection(6, [(0, 3)])
     assert not is_3d_dissection(d)
     with pytest.raises(ValueError):
         quiddity(d)
@@ -196,7 +224,7 @@ def test_certificate_counts_match_geometry():
 def test_octagon_profile_class():
     found = [d for d in iter_dissections(8) if profile(d) == (3, 3, 6)]
     assert len(found) == 36
-    assert len(dihedral_classes(found)) == 4
+    assert len(_dihedral_classes(found)) == 4
 
 
 def test_octagon_twin_quiddities():
@@ -211,29 +239,29 @@ def test_symmetric_decagon():
     d = symmetric_dissection(half)
     assert d.n == 10
     assert is_centrally_symmetric(d)
-    assert half_quiddity(d) == half
+    assert _half_quiddity(d) == half
 
 
 def test_half_quiddity_tetradecagon():
-    d = make_dissection(14, [(0, 7), (0, 8), (1, 7), (3, 5), (10, 12)])
+    d = _make_dissection(14, [(0, 7), (0, 8), (1, 7), (3, 5), (10, 12)])
     assert is_centrally_symmetric(d)
-    assert half_quiddity(d) == (3, 2, 1, 2, 1, 2, 1)
-    assert solution_class(half_quiddity(d)) is SolutionClass.PROBLEM_III
+    assert _half_quiddity(d) == (3, 2, 1, 2, 1, 2, 1)
+    assert solution_class(_half_quiddity(d)) is SolutionClass.PROBLEM_III
 
 
 def test_half_quiddity_rejects_aperiodic():
-    d = make_dissection(6, [(0, 2)])
+    d = _make_dissection(6, [(0, 2)])
     with pytest.raises(ValueError):
-        half_quiddity(d)
+        _half_quiddity(d)
 
 
 def test_json_round_trip():
-    d = make_dissection(7, [(0, 2), (2, 6)])
+    d = _make_dissection(7, [(0, 2), (2, 6)])
     assert Dissection.from_json(d.to_json()) == d
 
 
 def test_render_smoke():
-    d = make_dissection(5, [(0, 2), (0, 3)])
+    d = _make_dissection(5, [(0, 2), (0, 3)])
     assert "graph" in to_dot(d)
     svg = to_svg(d)
     assert svg.startswith("<svg") and "</svg>" in svg
@@ -381,7 +409,7 @@ def test_certificate_faces_match_walk():
         for n in range(3, 9):
             for w in generative_enumerate(problem, n).words:
                 d = from_certificate(reduce_word(w))
-                assert faces(d) == faces(make_dissection(d.n, d.diagonals))
+                assert faces(d) == faces(_make_dissection(d.n, d.diagonals))
                 assert faces(d) == _walked_faces(d.n, d.diagonals)
 
 
@@ -419,6 +447,55 @@ def test_validation_matches_pairwise_check():
 def test_validation_message_precedence(n, diagonals, message):
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         Dissection(n, frozenset(diagonals))
+
+
+def _reference_outcome(n, diagonals):
+    """What Dissection(n, diagonals) must give, by the documented
+    precedence: the first invalid diagonal in sorted order names its
+    range error, or else its boundary error; then the first crossing pair
+    in sorted order; otherwise the faces, as ``_walked_faces`` finds them."""
+    diags = sorted(diagonals)
+    for i, j in diags:
+        if not 0 <= i < j < n:
+            return f"diagonal {(i, j)} must satisfy 0 <= i < j < n"
+        if j - i in (1, n - 1):
+            return f"{(i, j)} is a boundary edge, not a diagonal"
+    for a, b in itertools.combinations(diags, 2):
+        if a[0] < b[0] < a[1] < b[1]:
+            return f"diagonals {a} and {b} cross"
+    return _walked_faces(n, diags)
+
+
+def test_constructor_matches_reference_on_random_sets():
+    # ends in -1..n, out of range now and then; a few pairs keep their order
+    rng = random.Random(16)
+    kinds = {}
+    for _ in range(20000):
+        n = rng.randint(3, 12)
+        diagonals = set()
+        for _ in range(rng.randint(0, n - 3)):
+            a, b = (rng.choice((-1, n)) if rng.random() < 0.03 else rng.randrange(n)
+                    for _ in range(2))
+            diagonals.add((a, b) if rng.random() < 0.05 else (min(a, b), max(a, b)))
+        expected = _reference_outcome(n, diagonals)
+        try:
+            got = faces(Dissection(n, frozenset(diagonals)))
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, (n, diagonals)
+        kind = "faces" if isinstance(expected, list) else expected.split()[-1]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # every outcome is drawn often: faces, and range, boundary and crossing errors
+    assert set(kinds) == {"faces", "n", "diagonal", "cross"}
+    assert min(kinds.values()) > 500, kinds
+
+
+def test_faces_match_walk_on_every_11gon_dissection():
+    count = 0
+    for d in iter_dissections(11):
+        assert faces(d) == _walked_faces(d.n, d.diagonals)
+        count += 1
+    assert count == 7997
 
 
 def _filtered(n, key):
@@ -485,4 +562,4 @@ def test_dissect_trace_zero_is_centrally_symmetric(capsys):
             for v in face:
                 walked[v] += 1
         assert tuple(walked) == w + w
-        assert make_dissection(doc["n"], diagonals) in list(symmetric_dissections(w))
+        assert _make_dissection(doc["n"], diagonals) in list(symmetric_dissections(w))
