@@ -14,7 +14,6 @@ from .matrices import (
     elementary,
     product_from_continuants,
     rotate,
-    rotundus,
     word_product,
 )
 from .surgery import (

@@ -277,39 +277,42 @@ def _diagonal_lists(n: int) -> Iterator[list[Diagonal]]:
     before the first list is yielded.
     """
     pair = [[(min(i, j), max(i, j)) for j in range(n)] for i in range(n)]
-    memo: dict[int, list[tuple[Diagonal, ...]]] = {}
+    return _lists(n, pair, {})
 
-    def lists(m: int) -> Iterator[list[Diagonal]]:
-        for k in range(3, m + 1, 3):
-            for rest in itertools.combinations(range(2, m), k - 2):
-                ends = (1,) + rest + (m,)
-                chords = []
-                arcs = []
-                for x, y in zip(ends, ends[1:]):
-                    s = y - x + 1
-                    if s < 3:
-                        continue
-                    if s not in memo:
-                        memo[s] = list(map(tuple, lists(s)))
-                    labels = [*range(x, y), y % m]
-                    local = [[pair[a][b] for b in labels] for a in labels]
-                    chords.append(local[0][-1])
-                    arcs.append((local, memo[s]))
-                if not arcs:
-                    yield []
+
+def _lists(m: int, pair: list[list[Diagonal]],
+           memo: dict[int, list[tuple[Diagonal, ...]]]) -> Iterator[list[Diagonal]]:
+    """``_diagonal_lists`` of the m-gon, with the shared ``pair`` table
+    and per-length ``memo``; a module-level recursion, so the memo is
+    freed with the last generator, not by the cyclic collector."""
+    for k in range(3, m + 1, 3):
+        for rest in itertools.combinations(range(2, m), k - 2):
+            ends = (1,) + rest + (m,)
+            chords = []
+            arcs = []
+            for x, y in zip(ends, ends[1:]):
+                s = y - x + 1
+                if s < 3:
                     continue
-                (local, first), *others = arcs
-                mapped = [[[loc[i][j] for i, j in diags] for diags in lists_s]
-                          for loc, lists_s in others]
-                for diags in first:
-                    head = chords + [local[i][j] for i, j in diags]
-                    for parts in itertools.product(*mapped):
-                        out = head[:]
-                        for part in parts:
-                            out.extend(part)
-                        yield out
-
-    return lists(n)
+                if s not in memo:
+                    memo[s] = list(map(tuple, _lists(s, pair, memo)))
+                labels = [*range(x, y), y % m]
+                local = [[pair[a][b] for b in labels] for a in labels]
+                chords.append(local[0][-1])
+                arcs.append((local, memo[s]))
+            if not arcs:
+                yield []
+                continue
+            (local, first), *others = arcs
+            mapped = [[[loc[i][j] for i, j in diags] for diags in lists_s]
+                      for loc, lists_s in others]
+            for diags in first:
+                head = chords + [local[i][j] for i, j in diags]
+                for parts in itertools.product(*mapped):
+                    out = head[:]
+                    for part in parts:
+                        out.extend(part)
+                    yield out
 
 
 def _quiddity_lists(word: Word) -> Iterator[list[Diagonal]]:

@@ -7,6 +7,11 @@ A word (a_1, ..., a_n) of positive integers is mapped to the matrix
 where E(a) = [[a, -1], [1, 0]].  Note the reversed order: the *last*
 entry of the word is the *leftmost* factor.  All arithmetic is exact
 (Python integers), so there is no overflow anywhere.
+
+``word_product`` folds the factors one ``Mat2`` product at a time; it is
+the reference.  ``product_from_continuants`` reads the same matrix from
+four continuants of the word, and classification (``surgery.solution_class``)
+uses it.
 """
 
 from __future__ import annotations
@@ -107,17 +112,13 @@ def elementary(a: int) -> Mat2:
 
 
 def word_product(w: Sequence[int]) -> Mat2:
-    """M(a_1..a_n) = E(a_n) * ... * E(a_1).  Rejects the empty word."""
+    """M(a_1..a_n) = E(a_n) * ... * E(a_1), the reference fold.  Rejects
+    the empty word."""
     word = check_word(w)
     m = elementary(word[0])
     for a in word[1:]:
         m = elementary(a) * m
     return m
-
-
-def rotundus(w: Sequence[int]) -> int:
-    """Trace of the word product; cyclically invariant in w."""
-    return word_product(w).trace()
 
 
 def continuant(xs: Iterable[int]) -> int:
@@ -133,16 +134,16 @@ def continuant(xs: Iterable[int]) -> int:
 
 
 def product_from_continuants(w: Sequence[int]) -> Mat2:
-    """Word product assembled from four continuants; needs length >= 2."""
+    """Word product assembled from four continuants:
+
+        M(a_1..a_n) = [[K(a_1..a_n), -K(a_2..a_n)],
+                       [K(a_1..a_{n-1}), -K(a_2..a_{n-1})]].
+
+    For a one-entry word the lower-right continuant is K_{-1} = 0.
+    """
     word = check_word(w)
-    if len(word) < 2:
-        raise ValueError("continuant formula needs a word of length >= 2")
-    return Mat2(
-        continuant(word),
-        -continuant(word[1:]),
-        continuant(word[:-1]),
-        -continuant(word[1:-1]),
-    )
+    inner = continuant(word[1:-1]) if len(word) > 1 else 0
+    return Mat2(continuant(word), -continuant(word[1:]), continuant(word[:-1]), -inner)
 
 
 def classify_matrix(m: Mat2) -> SolutionClass:

@@ -18,6 +18,10 @@ across the wrap-around point only changes which rotation of the word is
 stored, so certificate replay reproduces the original tuple exactly,
 not merely up to rotation.  Every forward step is one ``_splice`` on a
 checked word; ``replay`` checks only the base.
+
+``solution_class`` reads the word product from its four continuants
+(``matrices.product_from_continuants``); ``matrices.word_product``, the
+fold of ``Mat2`` products, stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .matrices import (
     Word,
     check_word,
     classify_matrix,
+    product_from_continuants,
     rotate,
-    word_product,
 )
 
 BASES_CENTRAL = ((1, 2), (2, 1))
@@ -59,8 +63,9 @@ class SurgeryStep:
 
 
 def solution_class(w: Sequence[int]) -> SolutionClass:
-    """Which of the three equations (if any) the word solves."""
-    return classify_matrix(word_product(w))
+    """Which of the three equations (if any) the word solves, read from
+    the four continuants of the word (no ``Mat2`` product)."""
+    return classify_matrix(product_from_continuants(w))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -320,6 +321,20 @@ def test_enumeration_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_enumeration_leaves_no_cycles():
+    # the per-length memo is freed with the enumeration by reference
+    # counting; nothing waits for the cyclic collector
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert sum(1 for _ in iter_dissections(10)) == 2160
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _dissection_counts(n_max, sign=1):

@@ -14,9 +14,13 @@ from quiddity.matrices import (
     elementary,
     product_from_continuants,
     rotate,
-    rotundus,
     word_product,
 )
+
+
+def _rotundus(w):
+    """Trace of the word product; cyclically invariant in w."""
+    return word_product(w).trace()
 
 
 def test_mat2_basics():
@@ -51,10 +55,11 @@ def test_known_products():
 
 def test_rotundus_small():
     # closed forms for short words
-    a, b = 4, 7
-    assert rotundus((a,)) == a
-    assert rotundus((a, b)) == a * b - 2
-    assert rotundus((1, 1, 1)) == -2
+    a, b, c = 4, 7, 3
+    assert _rotundus((a,)) == a
+    assert _rotundus((a, b)) == a * b - 2
+    assert _rotundus((1, 1, 1)) == -2
+    assert _rotundus((a, b, c)) == _rotundus((b, c, a)) == a * b * c - a - b - c
 
 
 def test_continuant_recurrence():
@@ -74,7 +79,7 @@ def test_product_from_continuants_random():
 
 def test_word_product_matches_its_definition():
     # against the fold E(a_n) * ... * E(a_1) from the identity and
-    # against the four continuants
+    # against the four continuants, one-entry words included
     rng = random.Random(11)
     for _ in range(2_000):
         w = tuple(rng.randint(1, 10**6) for _ in range(rng.randint(1, 40)))
@@ -82,11 +87,12 @@ def test_word_product_matches_its_definition():
         for a in w:
             m = elementary(a) * m
         assert word_product(w) == m
-        if len(w) >= 2:
-            assert product_from_continuants(w) == m
+        assert product_from_continuants(w) == m
     for bad in [(), (0,), (2, -1)]:
         with pytest.raises(ValueError):
             word_product(bad)
+        with pytest.raises(ValueError):
+            product_from_continuants(bad)
 
 
 def test_rotation_helpers():

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 import quiddity.surgery
 from quiddity.frieze import farey_quiddity
-from quiddity.matrices import check_word, rotate, word_product
+from quiddity.dissection import iter_dissections, quiddity as dissection_quiddity
+from quiddity.matrices import Mat2, check_word, classify_matrix, rotate, word_product
 from quiddity.search import generative_enumerate
 from quiddity.surgery import (
     NotASolutionError,
@@ -92,6 +94,56 @@ def test_solution_class():
     assert solution_class((1, 1, 1)) is SolutionClass.PROBLEM_II
     assert solution_class((1, 2)) is SolutionClass.PROBLEM_III
     assert solution_class((2, 2)) is SolutionClass.NOT_A_SOLUTION
+
+
+def _grown_solutions(rng, count):
+    """Random solutions of every class, grown from the bases by random
+    forward surgeries, to lengths up to 40."""
+    out = []
+    for _ in range(count):
+        w = rng.choice([(1, 1, 1), (1, 2), (2, 1)])
+        for _ in range(rng.randint(0, 30)):
+            i = rng.randrange(len(w))
+            if rng.random() < 0.3 and len(w) <= 36:
+                a1 = rng.randint(1, w[i])
+                w = apply_type2(w, i, (a1, w[i] + 1 - a1))
+            elif len(w) < 40:
+                w = apply_type1(w, i)
+        out.append(w)
+    return out
+
+
+def test_solution_class_matches_word_product():
+    # the continuant classifier against the Mat2 fold, on random words
+    # (almost all non-solutions), grown solutions of every class, and the
+    # quiddity of every 3d-dissection of the 11-gon
+    rng = random.Random(17)
+    randoms = [tuple(rng.randint(1, rng.choice((3, 9, 1000))) for _ in range(rng.randint(1, 40)))
+               for _ in range(3_000)]
+    grown = _grown_solutions(rng, 1_000)
+    quiddities = [dissection_quiddity(d) for d in iter_dissections(11)]
+    seen = set()
+    for w in randoms + grown + quiddities:
+        cls = solution_class(w)
+        assert cls is classify_matrix(word_product(w)), w
+        seen.add(cls)
+    assert seen == set(SolutionClass)
+    assert len(quiddities) == 7_997
+
+
+def test_classification_needs_no_mat2_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("Mat2 product taken")
+
+    monkeypatch.setattr(Mat2, "__mul__", refuse)
+    with pytest.raises(AssertionError):
+        word_product((1, 2))
+    assert solution_class((1,)) is SolutionClass.NOT_A_SOLUTION
+    assert solution_class((1,) * 6) is SolutionClass.PROBLEM_I
+    assert solution_class((1, 1, 1)) is SolutionClass.PROBLEM_II
+    assert solution_class((1, 1, 2, 1, 1)) is SolutionClass.PROBLEM_III
+    assert classify((2, 1, 2, 1, 1, 1, 1))[0] is SolutionClass.PROBLEM_I
+    assert classify((2, 2))[0] is SolutionClass.NOT_A_SOLUTION
 
 
 def test_reduce_word_replay_exact():
