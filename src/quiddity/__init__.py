@@ -24,8 +24,6 @@ from .surgery import (
     apply_type1,
     apply_type2,
     classify,
-    inverse_type1,
-    inverse_type2,
     is_reduced,
     reduce_word,
     solution_class,
@@ -52,10 +50,9 @@ from .dissection import (
     symmetric_dissection,
     symmetric_dissections,
 )
-from .sturm import broken_line, iterate, rotation_index, wronskian
+from .sturm import iterate, rotation_index
 from .frieze import (
     Frieze,
-    check_diamond,
     check_glide,
     check_tame,
     farey_quiddity,
@@ -64,9 +61,7 @@ from .frieze import (
     render_text,
 )
 from .psl2 import (
-    ElementQuiddity,
     conjecture_probe,
-    element_dissection,
     element_index,
     element_quiddity,
     reduced_decomposition,

@@ -27,7 +27,7 @@ from .frieze import (
     render_text,
 )
 from .matrices import Mat2, Word, word_product
-from .surgery import NotASolutionError, SolutionClass, classify, solution_class
+from .surgery import NotASolutionError, SolutionClass, classify, reduce_word, solution_class
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -183,21 +183,21 @@ def cmd_decompose(args) -> int:
     except ValueError:
         raise ValueError(f"cannot parse matrix {args.matrix!r}; expected a,b,c,d")
     m = Mat2(a, b, c, d)
-    q = psl2.element_quiddity(m)
-    word = q.left  # the reduced decomposition of m
-    index = q.index()
-    diss = q.dissection()
+    word, inverse_word = psl2.element_quiddity(m)  # the reduced words of m and m^-1
+    combined = word + inverse_word
+    index = sturm.rotation_index(combined)
+    diss = dmod.from_certificate(reduce_word(combined))
     payload = {
         "matrix": m.rows(),
         "reduced": list(word),
-        "quiddity": list(q.combined),
+        "quiddity": list(combined),
         "index_twice": int(index * 2),
         "dissection": diss.to_json(),
-        "faces": sorted(len(f) for f in dmod.faces(diss)),
+        "faces": list(dmod.profile(diss)),
     }
     _emit(args, payload, lambda: [
         f"reduced word: {','.join(map(str, word))}",
-        f"quiddity: {','.join(map(str, q.combined))}",
+        f"quiddity: {','.join(map(str, combined))}",
         f"index: {index}",
         f"dissection: {diss.n}-gon, faces {payload['faces']}",
     ])

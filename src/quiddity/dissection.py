@@ -332,58 +332,63 @@ def _quiddity_lists(word: Word) -> Iterator[list[Diagonal]]:
     inside one arc and keep theirs.
     """
     n = len(word)
-    rem = list(word)
-    pend = [1] * n
-    pending = [tuple(range(n))]
-    chords: list[Diagonal] = []
+    return _split((list(word), [1] * n, [tuple(range(n))], []))
 
-    def take(v: int, arcs: int) -> bool:
-        # v joins a face that leaves `arcs` pending arcs (0-2) next to it
-        rem[v] -= 1
-        pend[v] += arcs - 1
-        return pend[v] <= rem[v] and (pend[v] > 0 or rem[v] == 0)
 
-    def give(v: int, arcs: int) -> None:
-        rem[v] += 1
-        pend[v] -= arcs - 1
+def _take(rem: list[int], pend: list[int], v: int, arcs: int) -> bool:
+    # v joins a face that leaves `arcs` pending arcs (0-2) next to it
+    rem[v] -= 1
+    pend[v] += arcs - 1
+    return pend[v] <= rem[v] and (pend[v] > 0 or rem[v] == 0)
 
-    def grow(poly: tuple[int, ...], cuts: list[int], k: int) -> Iterator[list[Diagonal]]:
-        # cuts: the face's first vertices, as indices into poly; k: its size
-        m, a = len(poly), cuts[-1]
-        before = a - cuts[-2] >= 2
-        if len(cuts) == k:
-            after = m - a >= 2  # the arc closing back to poly[0]
-            # `&`, not `and`: both vertices are taken, and both given back below
-            if take(poly[a], before + after) & take(poly[0], after):
-                ends = cuts + [m]
-                arcs = [poly[x:y + 1] if y < m else poly[x:] + poly[:1]
-                        for x, y in zip(ends, ends[1:]) if y - x >= 2]
-                pending.extend(reversed(arcs))
-                chords.extend((c[0], c[-1]) if c[0] < c[-1] else (c[-1], c[0]) for c in arcs)
-                yield from split()
-                del pending[len(pending) - len(arcs):]
-                del chords[len(chords) - len(arcs):]
-            give(poly[a], before + after)
-            give(poly[0], after)
-            return
-        for b in range(a + 1, m - k + len(cuts) + 1):
-            arcs = before + (b - a >= 2)
-            if take(poly[a], arcs):
-                cuts.append(b)
-                yield from grow(poly, cuts, k)
-                cuts.pop()
-            give(poly[a], arcs)
 
-    def split() -> Iterator[list[Diagonal]]:
-        if not pending:
-            yield chords[:]
-            return
-        poly = pending.pop()
-        for k in range(3, len(poly) + 1, 3):
-            yield from grow(poly, [0, 1], k)
-        pending.append(poly)
+def _give(rem: list[int], pend: list[int], v: int, arcs: int) -> None:
+    rem[v] += 1
+    pend[v] -= arcs - 1
 
-    return split()
+
+def _grow(state: tuple, poly: tuple[int, ...], cuts: list[int], k: int) -> Iterator[list[Diagonal]]:
+    """Choose the next vertex of the face of size k on poly's edge
+    (0, 1); ``cuts``: the face's first vertices, as indices into poly."""
+    rem, pend, pending, chords = state
+    m, a = len(poly), cuts[-1]
+    before = a - cuts[-2] >= 2
+    if len(cuts) == k:
+        after = m - a >= 2  # the arc closing back to poly[0]
+        # `&`, not `and`: both vertices are taken, and both given back below
+        if _take(rem, pend, poly[a], before + after) & _take(rem, pend, poly[0], after):
+            ends = cuts + [m]
+            arcs = [poly[x:y + 1] if y < m else poly[x:] + poly[:1]
+                    for x, y in zip(ends, ends[1:]) if y - x >= 2]
+            pending.extend(reversed(arcs))
+            chords.extend((c[0], c[-1]) if c[0] < c[-1] else (c[-1], c[0]) for c in arcs)
+            yield from _split(state)
+            del pending[len(pending) - len(arcs):]
+            del chords[len(chords) - len(arcs):]
+        _give(rem, pend, poly[a], before + after)
+        _give(rem, pend, poly[0], after)
+        return
+    for b in range(a + 1, m - k + len(cuts) + 1):
+        arcs = before + (b - a >= 2)
+        if _take(rem, pend, poly[a], arcs):
+            cuts.append(b)
+            yield from _grow(state, poly, cuts, k)
+            cuts.pop()
+        _give(rem, pend, poly[a], arcs)
+
+
+def _split(state: tuple) -> Iterator[list[Diagonal]]:
+    """Dissect the latest pending arc of the search ``state``, the lists
+    (rem, pend, pending, chords); a module-level recursion, so that the
+    search leaves no reference cycle for the collector."""
+    pending, chords = state[2], state[3]
+    if not pending:
+        yield chords[:]
+        return
+    poly = pending.pop()
+    for k in range(3, len(poly) + 1, 3):
+        yield from _grow(state, poly, [0, 1], k)
+    pending.append(poly)
 
 
 def _check_polygon(n: int, budget: Optional[int]) -> None:

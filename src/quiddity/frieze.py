@@ -76,15 +76,6 @@ def _continuant_rows(word: Word, r_max: int) -> Iterator[tuple[int, ...]]:
         yield cur
 
 
-def check_diamond(f: Frieze) -> bool:
-    """Unimodular rule: e(r,i) e(r,i+1) - e(r+1,i) e(r-1,i+1) = 1."""
-    for r in range(f.r_max):
-        for i in range(f.n):
-            if f.entry(r, i) * f.entry(r, i + 1) - f.entry(r + 1, i) * f.entry(r - 1, i + 1) != 1:
-                return False
-    return True
-
-
 def check_tame(f: Frieze) -> bool:
     """True iff every contiguous 3x3 diamond has determinant zero."""
     def det3(m):

@@ -20,23 +20,14 @@ dissection with a rotation index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import limits
-from .dissection import Dissection, dissections_with_quiddity, from_certificate
+from .dissection import dissections_with_quiddity
 from .matrices import Mat2, Word, word_product
-from .surgery import (
-    SolutionClass,
-    is_reduced,
-    reduce_word,
-    solution_class,
-)
+from .surgery import SolutionClass, is_reduced, solution_class
 from .sturm import rotation_index
-
-#: Positive word for S = [[0,-1],[1,0]]: word_product((1,1,2,1,1)) == -S.
-WORD_S = (1, 1, 2, 1, 1)
 
 
 def _canonical_sign(m: Mat2) -> Mat2:
@@ -107,43 +98,21 @@ def reduced_decomposition(m: Mat2) -> Word:
     return word
 
 
-@dataclass(frozen=True)
-class ElementQuiddity:
-    """Reduced words of A and A^{-1} and their concatenation."""
-
-    left: Word
-    right: Word
-
-    @property
-    def combined(self) -> Word:
-        return self.left + self.right
-
-    def index(self) -> Fraction:
-        """Rotation index of the combined quiddity."""
-        return rotation_index(self.combined)
-
-    def dissection(self) -> Dissection:
-        """The dissection the certificate of the combined quiddity builds."""
-        return from_certificate(reduce_word(self.combined))
-
-
-def element_quiddity(m: Mat2) -> ElementQuiddity:
-    """The reduced words of m and m^{-1}, whose concatenation is a
-    Problem I or II solution."""
+def element_quiddity(m: Mat2) -> tuple[Word, Word]:
+    """The reduced words of m and m^{-1}, whose concatenation, the
+    quiddity of m, is a Problem I or II solution."""
     left = reduced_decomposition(m)
     right = reduced_decomposition(m.inverse())
     combined = left + right
     if solution_class(combined) not in (SolutionClass.PROBLEM_I, SolutionClass.PROBLEM_II):
         raise AssertionError(f"combined quiddity {combined} is not a Problem I/II solution")
-    return ElementQuiddity(left, right)
-
-
-def element_dissection(m: Mat2) -> Dissection:
-    return element_quiddity(m).dissection()
+    return left, right
 
 
 def element_index(m: Mat2) -> Fraction:
-    return element_quiddity(m).index()
+    """Rotation index of the quiddity of m."""
+    left, right = element_quiddity(m)
+    return rotation_index(left + right)
 
 
 #: Entry ceiling for exhaustive reduced-word generation.  Entries of

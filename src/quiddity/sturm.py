@@ -1,5 +1,5 @@
 """Sequences of the three-term recurrence V_{i+1} = a_i V_i - V_{i-1}
-with n-periodic coefficients, broken lines, and the rotation index.
+with n-periodic coefficients, and the rotation index.
 
 All arithmetic is exact.  The index is returned as a Fraction with
 denominator 1 or 2; no floating point is involved anywhere.
@@ -28,32 +28,6 @@ def iterate(w: Sequence[int], v0: int, v1: int, steps: int) -> tuple[int, ...]:
     for i in range(1, steps):
         values.append(word[(i - 1) % n] * values[i] - values[i - 1])
     return tuple(values)
-
-
-def broken_line(w: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The points P_i = (V1_i, V2_i), i = 0..n, over one period of the
-    word, from the two basis sequences with initial data (1,0) and (0,1)."""
-    word = check_word(w)
-    s1 = iterate(word, 1, 0, len(word))
-    s2 = iterate(word, 0, 1, len(word))
-    points = tuple(zip(s1, s2))
-    if any(p == (0, 0) for p in points):
-        raise AssertionError("broken line passes through the origin")
-    return points
-
-
-def wronskian(points: Sequence[tuple[int, int]]) -> int:
-    """The common cross product of consecutive points of a broken line."""
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    (x0, y0), (x1, y1) = points[0], points[1]
-    w = x1 * y0 - x0 * y1
-    for (xa, ya), (xb, yb) in zip(points, points[1:]):
-        if xb * ya - xa * yb != w:
-            raise AssertionError("Wronskian is not constant; broken invariant")
-    if w == 0:
-        raise AssertionError("Wronskian vanishes; the two sequences are dependent")
-    return w
 
 
 def rotation_index(w: Sequence[int]) -> Fraction:

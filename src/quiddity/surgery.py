@@ -127,10 +127,6 @@ def apply_type2(w: Sequence[int], i: int, split: tuple[int, int]) -> Word:
     return _splice(check_word(w), i, split, 0)
 
 
-def apply_step(w: Sequence[int], step: SurgeryStep) -> Word:
-    return _splice(check_word(w), step.position, step.split, step.shift)
-
-
 def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
     """Remove the 1 at position i and decrement its neighbors, keeping
     the other entries in place.  The forward step glues after entry
@@ -151,6 +147,7 @@ def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
 
 
 def _inverse_type2(word: Word, i: int) -> tuple[Word, SurgeryStep]:
+    """Undo a type-2 surgery at the two adjacent 1s starting at position i."""
     n = len(word)
     if n < 5:
         raise ValueError("word too short to undo a type-2 surgery")
@@ -166,16 +163,6 @@ def _inverse_type2(word: Word, i: int) -> tuple[Word, SurgeryStep]:
     # the fragment's first n - q entries back to the end
     out = (merged,) + word[q + 4 - n:q]
     return out, SurgeryStep(0, (outer1, outer2), shift=n - q)
-
-
-def inverse_type1(w: Sequence[int], i: int) -> Word:
-    """Undo a type-1 surgery at the isolated 1 sitting at position i."""
-    return _inverse_type1(check_word(w), i)[0]
-
-
-def inverse_type2(w: Sequence[int], i: int) -> Word:
-    """Undo a type-2 surgery; i points at the first of two adjacent 1s."""
-    return _inverse_type2(check_word(w), i)[0]
 
 
 def reduce_word(w: Sequence[int]) -> ReductionCertificate:

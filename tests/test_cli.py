@@ -9,11 +9,11 @@ import pytest
 
 import quiddity
 from quiddity.cli import EXIT_CLOSED_STDOUT, main
-from quiddity.dissection import faces
+from quiddity.dissection import faces, from_certificate
 from quiddity.frieze import frieze, render_text
 from quiddity.matrices import IDENTITY, NEG_IDENTITY, Mat2
-from quiddity.psl2 import element_dissection, element_index, element_quiddity, reduced_decomposition
-from quiddity.surgery import classify
+from quiddity.psl2 import element_index, element_quiddity, reduced_decomposition
+from quiddity.surgery import classify, reduce_word
 
 
 def run(capsys, *argv):
@@ -240,11 +240,12 @@ def test_decompose_matches_library(capsys):
         text = ",".join(str(x) for row in m.rows() for x in row)
         code, out, _ = run(capsys, "--format", "json", "decompose", "--", text)
         assert code == 0
-        d = element_dissection(m)
+        left, right = element_quiddity(m)
+        d = from_certificate(reduce_word(left + right))
         assert json.loads(out) == {
             "matrix": m.rows(),
             "reduced": list(reduced_decomposition(m)),
-            "quiddity": list(element_quiddity(m).combined),
+            "quiddity": list(left + right),
             "index_twice": int(element_index(m) * 2),
             "dissection": d.to_json(),
             "faces": sorted(len(f) for f in faces(d)),

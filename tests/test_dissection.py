@@ -34,7 +34,6 @@ from quiddity.surgery import (
     ReductionCertificate,
     SolutionClass,
     SurgeryStep,
-    apply_step,
     reduce_word,
     solution_class,
 )
@@ -193,7 +192,7 @@ def test_shifted_certificates_agree_in_both_replays(base, data):
             a1 = data.draw(st.integers(min_value=1, max_value=w[i]))
             step = SurgeryStep(i, (a1, w[i] + 1 - a1), shift)
         steps.append(step)
-        w = apply_step(w, step)
+        w = ReductionCertificate(w, (step,)).replay()
     cert = ReductionCertificate(base, tuple(steps))
     assert cert.replay() == w
     d = from_certificate(cert)
@@ -331,6 +330,24 @@ def test_enumeration_leaves_no_cycles():
     gc.disable()
     try:
         assert sum(1 for _ in iter_dissections(10)) == 2160
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_quiddity_searches_leave_no_cycles():
+    # the searches for a given quiddity recurse through module-level
+    # generators; nothing waits for the cyclic collector
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert len(dissections_with_quiddity((2, 1) * 6)) == 5
+        assert gc.collect() == 0
+        assert solution_class((1, 1, 1, 1, 2)) is SolutionClass.PROBLEM_III
+        found = list(symmetric_dissections((1, 1, 1, 1, 2)))
+        assert [d.diagonals for d in found] == [frozenset({(4, 9)})]
         assert gc.collect() == 0
     finally:
         if was_enabled:

@@ -5,16 +5,15 @@ import pytest
 
 from quiddity.limits import BudgetExceededError
 from quiddity.matrices import IDENTITY, Mat2, NEG_IDENTITY, word_product
-from quiddity.dissection import profile
+from quiddity.dissection import from_certificate, profile
 from quiddity.psl2 import (
     conjecture_probe,
-    element_dissection,
     element_index,
     element_quiddity,
     reduced_decomposition,
     uniqueness_spot_check,
 )
-from quiddity.surgery import is_reduced
+from quiddity.surgery import is_reduced, reduce_word
 
 S = Mat2(0, -1, 1, 0)
 T = Mat2(1, 1, 0, 1)
@@ -54,9 +53,10 @@ def test_rejects_wrong_determinant():
 
 
 def test_element_quiddities():
-    assert element_quiddity(S).combined == (1, 1, 2, 1, 1, 1, 1, 2, 1, 1)
-    assert element_quiddity(T).combined == (1, 1, 2, 1, 2, 1, 1)
-    assert element_quiddity(COHN_A).combined == (1, 1, 2, 2, 1, 3, 1, 1)
+    # the pair of reduced words of m and m^-1
+    assert element_quiddity(S) == ((1, 1, 2, 1, 1), (1, 1, 2, 1, 1))
+    assert element_quiddity(T) == ((1, 1, 2), (1, 2, 1, 1))
+    assert element_quiddity(COHN_A) == ((1, 1, 2, 2), (1, 3, 1, 1))
 
 
 def test_element_indices():
@@ -67,9 +67,13 @@ def test_element_indices():
 
 
 def test_element_dissections():
-    assert profile(element_dissection(S)) == (6, 6)
-    assert profile(element_dissection(T)) == (3, 6)
-    assert profile(element_dissection(COHN_A)) == (3, 3, 6)
+    def dissection(m):
+        left, right = element_quiddity(m)
+        return from_certificate(reduce_word(left + right))
+
+    assert profile(dissection(S)) == (6, 6)
+    assert profile(dissection(T)) == (3, 6)
+    assert profile(dissection(COHN_A)) == (3, 3, 6)
 
 
 def test_random_st_words_round_trip():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quiddity.search import generative_enumerate
-from quiddity.sturm import broken_line, iterate, rotation_index, wronskian
+from quiddity.sturm import iterate, rotation_index
 from quiddity.surgery import (
     NotASolutionError,
     apply_type1,
@@ -14,6 +14,27 @@ from quiddity.surgery import (
 )
 
 words = st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=8).map(tuple)
+
+
+def _broken_line(w):
+    """The points P_i = (V1_i, V2_i), i = 0..n, over one period of the
+    word, from the two basis sequences with initial data (1,0) and (0,1)."""
+    s1 = iterate(w, 1, 0, len(w))
+    s2 = iterate(w, 0, 1, len(w))
+    points = tuple(zip(s1, s2))
+    assert (0, 0) not in points, "broken line passes through the origin"
+    return points
+
+
+def _wronskian(points):
+    """The common cross product of consecutive points of a broken line."""
+    assert len(points) >= 2
+    (x0, y0), (x1, y1) = points[0], points[1]
+    w = x1 * y0 - x0 * y1
+    for (xa, ya), (xb, yb) in zip(points, points[1:]):
+        assert xb * ya - xa * yb == w, "Wronskian is not constant; broken invariant"
+    assert w != 0, "Wronskian vanishes; the two sequences are dependent"
+    return w
 
 
 def test_iterate_hexagon():
@@ -28,14 +49,14 @@ def test_iterate_periodic_coefficients():
 
 
 def test_broken_line_hexagon():
-    points = broken_line((1,) * 6)
+    points = _broken_line((1,) * 6)
     assert points == ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0))
-    assert wronskian(points) == -1
+    assert _wronskian(points) == -1
 
 
 @given(words)
 def test_wronskian_always_minus_one(w):
-    assert wronskian(broken_line(w)) == -1
+    assert _wronskian(_broken_line(w)) == -1
 
 
 def test_rotation_index_examples():

@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import quiddity.surgery
@@ -12,20 +12,25 @@ from quiddity.matrices import Mat2, check_word, classify_matrix, rotate, word_pr
 from quiddity.search import generative_enumerate
 from quiddity.surgery import (
     NotASolutionError,
+    ReductionCertificate,
     SolutionClass,
     SurgeryStep,
-    apply_step,
+    _inverse_type1,
+    _inverse_type2,
     apply_type1,
     apply_type2,
     classify,
-    inverse_type1,
-    inverse_type2,
     is_reduced,
     reduce_word,
     solution_class,
 )
 
 words = st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=9).map(tuple)
+
+
+def _one_step(w, step):
+    """The word that one forward step rebuilds from w."""
+    return ReductionCertificate(w, (step,)).replay()
 
 
 def test_apply_type1_interior():
@@ -36,19 +41,19 @@ def test_apply_type1_interior():
 def test_apply_type1_wraparound():
     assert apply_type1((2, 3, 4), 2) == (3, 3, 5, 1)
     assert apply_type1((5,), 0) == (7, 1)
-    assert apply_step((2, 3, 4), SurgeryStep(2, shift=-1)) == (1, 3, 3, 5)
+    assert _one_step((2, 3, 4), SurgeryStep(2, shift=-1)) == (1, 3, 3, 5)
     # any shift rotates the spliced word, wherever the step sits
-    assert apply_step((2, 3, 4), SurgeryStep(0, shift=-1)) == (4, 3, 1, 4)
-    assert apply_step((2, 3, 4), SurgeryStep(0, shift=7)) == (4, 3, 1, 4)
+    assert _one_step((2, 3, 4), SurgeryStep(0, shift=-1)) == (4, 3, 1, 4)
+    assert _one_step((2, 3, 4), SurgeryStep(0, shift=7)) == (4, 3, 1, 4)
 
 
 def test_apply_type2():
     assert apply_type2((5, 2), 0, (2, 4)) == (2, 1, 1, 4, 2)
-    assert apply_step((5, 2), SurgeryStep(0, (2, 4), shift=3)) == (4, 2, 2, 1, 1)
+    assert _one_step((5, 2), SurgeryStep(0, (2, 4), shift=3)) == (4, 2, 2, 1, 1)
     with pytest.raises(ValueError):
         apply_type2((5, 2), 0, (2, 3))
-    assert apply_step((5, 2), SurgeryStep(1, (1, 2), shift=1)) == (1, 1, 1, 2, 5)
-    assert apply_step((5, 2), SurgeryStep(1, (1, 2), shift=-6)) == (2, 5, 1, 1, 1)
+    assert _one_step((5, 2), SurgeryStep(1, (1, 2), shift=1)) == (1, 1, 1, 2, 5)
+    assert _one_step((5, 2), SurgeryStep(1, (1, 2), shift=-6)) == (2, 5, 1, 1, 1)
 
 
 @given(words, st.data())
@@ -78,7 +83,14 @@ def test_type2_negates_product(w, data):
 def test_inverse_type1_round_trip(w, data):
     i = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
     grown = apply_type1(w, i)
-    assert inverse_type1(grown, (i + 1) % len(grown)) == w
+    shorter, step = _inverse_type1(grown, (i + 1) % len(grown))
+    assert shorter == w
+    assert _one_step(shorter, step) == grown
+    # on any rotation, the returned step rebuilds that rotation exactly
+    r = data.draw(st.integers(min_value=0, max_value=len(grown) - 1))
+    turned = rotate(grown, r)
+    shorter, step = _inverse_type1(turned, (i + 1 - r) % len(grown))
+    assert _one_step(shorter, step) == turned
 
 
 @given(words, st.data())
@@ -86,7 +98,14 @@ def test_inverse_type2_round_trip(w, data):
     i = data.draw(st.integers(min_value=0, max_value=len(w) - 1))
     a1 = data.draw(st.integers(min_value=1, max_value=w[i]))
     grown = apply_type2(w, i, (a1, w[i] + 1 - a1))
-    assert inverse_type2(grown, i + 1) == w
+    shorter, step = _inverse_type2(grown, i + 1)
+    assert shorter == w
+    assert _one_step(shorter, step) == grown
+    # rotations move the fragment across the wrap, where the step shifts
+    r = data.draw(st.integers(min_value=0, max_value=len(grown) - 1))
+    turned = rotate(grown, r)
+    shorter, step = _inverse_type2(turned, (i + 1 - r) % len(grown))
+    assert _one_step(shorter, step) == turned
 
 
 def test_solution_class():
