@@ -37,13 +37,12 @@ EXIT_CLOSED_STDOUT = 141
 
 
 def _parse_word(text: str) -> Word:
+    """The comma-separated integers of ``text``; each subcommand checks
+    the entries with ``check_word`` before it uses them."""
     try:
-        entries = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse word {text!r}; expected comma-separated integers")
-    if not entries or any(a < 1 for a in entries):
-        raise ValueError("word entries must be positive integers")
-    return entries
 
 
 def _emit(args, payload: dict, text_lines: Callable[[], Iterable[str]]) -> None:

@@ -12,9 +12,9 @@ end of its outermost diagonal.  Every face has one chord, from its least
 vertex to its greatest, and is found by one walk along those far ends
 from that least vertex to the chord's other end.  A walk that passes the
 end of its chord shows two crossing diagonals, and every crossing makes
-some walk pass its end (``_sweep`` says why).  The enumerator,
-``from_certificate`` and ``from_json`` hand over diagonals only, so
-every dissection gets its faces the same way.
+some walk pass its end (``_sweep`` says why).  The enumerator and
+``from_certificate`` hand over diagonals only, so every dissection gets
+its faces the same way.
 
 The enumerator chooses the face on edge (0, 1) and then dissects each
 arc of the boundary that this face leaves over.  An arc's dissections
@@ -37,7 +37,9 @@ move to u''.  After either step the boundary is rotated by the step's
 shift.  With that convention quiddity(from_certificate(reduce(w))) ==
 w.  A Problem III certificate starts from the square with one diameter
 and applies every step at two antipodal places, which builds a
-centrally symmetric 2n-gon with quiddity w + w.
+centrally symmetric 2n-gon with quiddity w + w: ``symmetric_dissection``
+is that dissection, with no search.  ``symmetric_dissections`` lists
+every such dissection by the search over w + w.
 """
 
 from __future__ import annotations
@@ -48,12 +50,13 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import limits
-from .matrices import Word, check_word
+from .matrices import SolutionClass, Word, check_word
 from .surgery import (
     BASE_TRIANGLE,
     BASES_CENTRAL,
     ReductionCertificate,
     SurgeryStep,
+    classify,
 )
 
 Diagonal = tuple[int, int]
@@ -136,10 +139,6 @@ class Dissection:
 
     def to_json(self) -> dict:
         return {"n": self.n, "diagonals": [list(d) for d in sorted(self.diagonals)]}
-
-    @staticmethod
-    def from_json(doc: dict) -> "Dissection":
-        return Dissection(int(doc["n"]), frozenset((int(i), int(j)) for i, j in doc["diagonals"]))
 
 
 def faces(d: Dissection) -> list[Face]:
@@ -254,6 +253,15 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
     pos = {v: k for k, v in enumerate(boundary)}
     return Dissection(len(boundary), frozenset(
         (pos[u], pos[v]) for u, far in enumerate(ends) for v in far if pos[u] < pos[v]))
+
+
+def symmetric_dissection(w: Sequence[int]) -> Dissection:
+    """The centrally symmetric dissection of the 2n-gon with quiddity
+    w + w that the certificate of the Problem III solution w builds."""
+    cls, cert = classify(w)
+    if cls is not SolutionClass.PROBLEM_III:
+        raise ValueError(f"{tuple(w)} is not a Problem III solution")
+    return from_certificate(cert)
 
 
 # -- exhaustive enumeration --------------------------------------------------
@@ -427,14 +435,6 @@ def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> Ite
         d = Dissection(len(double), frozenset(diagonals))
         if is_centrally_symmetric(d):
             yield d
-
-
-def symmetric_dissection(w: Sequence[int], budget: Optional[int] = None) -> Dissection:
-    """A centrally symmetric dissection of the 2n-gon whose half-quiddity
-    is the Problem III solution w, found by search over the doubled word."""
-    for d in symmetric_dissections(w, budget=budget):
-        return d
-    raise ValueError(f"no centrally symmetric dissection found for {check_word(w)}")
 
 
 # -- rendering ----------------------------------------------------------------

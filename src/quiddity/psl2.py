@@ -123,25 +123,22 @@ DEFAULT_ENTRY_CAP = 6
 
 
 def _reduced_words(max_length: int) -> Iterator[Word]:
+    """The reduced words of length 1..max_length with entries up to
+    DEFAULT_ENTRY_CAP, each before its extensions.  A forbidden fragment
+    has at most four entries, so a reduced prefix stays reduced with one
+    more entry exactly when its last four entries are."""
     def extend(prefix: list[int]):
-        n = len(prefix)
-        if n >= 1:
+        if prefix:
             yield tuple(prefix)
-        if n == max_length:
+        if len(prefix) == max_length:
             return
         for a in range(1, DEFAULT_ENTRY_CAP + 1):
-            # prune prefixes that already contain a forbidden fragment
-            if n >= 2 and prefix[-1] == 1 and prefix[-2] > 1 and a > 1:
-                continue
-            if n >= 3 and prefix[-1] == 1 and prefix[-2] == 1:
-                continue
             prefix.append(a)
-            yield from extend(prefix)
+            if is_reduced(prefix[-4:]):
+                yield from extend(prefix)
             prefix.pop()
 
-    for w in extend([]):
-        if is_reduced(w):
-            yield w
+    return extend([])
 
 
 def uniqueness_spot_check(max_length: int) -> bool:
@@ -166,14 +163,14 @@ def conjecture_probe(word_length_bound: int, budget: Optional[int] = None) -> li
     The elements are found by splitting every Problem I/II solution of
     length <= the bound into two reduced halves: the combined quiddity
     of an element is exactly such a split, with A the product of the
-    first half.
+    first half.  The reduced words of an element and of its inverse are
+    unique, so each element comes from one split and is reported once.
     """
     limits.check_budget(word_length_bound, limits.DEFAULT_DISSECTION_CEILING,
                         budget, "conjecture probe")
     from .search import generative_enumerate
 
     reports = []
-    done = set()
     for n in range(3, word_length_bound + 1):
         for problem in ("I", "II"):
             for u in generative_enumerate(problem, n, budget=word_length_bound).words:
@@ -182,9 +179,6 @@ def conjecture_probe(word_length_bound: int, budget: Optional[int] = None) -> li
                     if not (is_reduced(left) and is_reduced(right)):
                         continue
                     m = _canonical_sign(word_product(left))
-                    if m in done:
-                        continue
-                    done.add(m)
                     reports.append({
                         "element": m.rows(),
                         "reduced": list(left),

@@ -14,8 +14,9 @@ heads, largest entry first, are streamed against that index.  For trace
 zero, a condition no such index can match, it walks the first n-1
 entries depth first and solves the trace condition, linear in the last
 entry, for it.  It uses only matrix products, the bounds and rotations,
-never the surgeries.  The sum bound is validated against the entry
-bound alone in the test suite for small n.
+never the surgeries.  The test suite checks for small n that the sum
+bound cuts no solution: its own walk over every tuple below the entry
+bound alone finds the same words.
 
 ``generative_enumerate`` grows the base solutions by the two surgeries,
 applied at every cyclic position of one representative per rotation
@@ -58,14 +59,11 @@ _NUMERALS = {"1": "I", "2": "II", "3": "III"}
 
 
 def _as_problem(problem: SolutionClass | str) -> SolutionClass:
-    """The problem named by a SolutionClass, "I".."III" in any case with
-    an optional "PROBLEM_" prefix, or "1".."3"."""
-    if isinstance(problem, SolutionClass):
-        if problem is SolutionClass.NOT_A_SOLUTION:
-            raise ValueError("pick one of the problems I, II, III")
-        return problem
-    name = str(problem).upper().removeprefix("PROBLEM_")
-    return SolutionClass(_NUMERALS.get(name, name))
+    """The problem named by a SolutionClass, "I".."III" or "1".."3"."""
+    cls = SolutionClass(_NUMERALS.get(problem, problem))
+    if cls is SolutionClass.NOT_A_SOLUTION:
+        raise ValueError("pick one of the problems I, II, III")
+    return cls
 
 
 def entry_bound(problem: SolutionClass, n: int) -> int:
@@ -123,23 +121,15 @@ def _with_rotations(found: set[Word], w: Word) -> None:
 
 
 def brute_force_enumerate(
-    problem: SolutionClass | str,
-    n: int,
-    budget: int | None = None,
-    sum_prune: bool = True,
+    problem: SolutionClass | str, n: int, budget: int | None = None
 ) -> SolutionSet:
-    """Every tuple of length n below the proved entry bound whose matrix
-    lands on the target.
+    """Every tuple of length n within the proved entry and sum bounds
+    whose matrix lands on the target.
 
     All three conditions and both bounds are invariant under rotation
     (rotating a word conjugates its product), and every rotation class
     has a member whose first entry is its largest.  So only those words
     are walked, and each hit brings in all n of its rotations.
-
-    ``sum_prune=False`` caps the entry sum at ``bound * n``, which no
-    tuple below the entry bound exceeds, instead of at the proved sum
-    bound; the tests use it to certify that the pruned search misses
-    nothing.
     """
     problem = _as_problem(problem)
     limits.check_budget(n, limits.DEFAULT_BRUTE_FORCE_CEILING, budget, "brute-force search")
@@ -149,7 +139,7 @@ def brute_force_enumerate(
     # a single entry a has trace a > 0, so Problem III starts at n = 2
     if bound < 1 or n == 1:
         return SolutionSet(())
-    smax = sum_bound(problem, n) if sum_prune else bound * n
+    smax = sum_bound(problem, n)
     found: set[Word] = set()
 
     if problem is SolutionClass.PROBLEM_III:

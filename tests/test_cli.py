@@ -55,6 +55,18 @@ def test_verify_bad_word(capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "1,0,3"],
+    ["dissect", "1,-2,3"],
+    ["frieze", "1,0,3"],
+], ids=["verify-zero", "dissect-negative", "frieze-zero"])
+def test_entries_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "positive integers" in err
+
+
 def test_enumerate_count(capsys):
     code, out, _ = run(capsys, "enumerate", "--problem", "1", "--n", "8", "--count")
     assert (code, out.strip()) == (0, "34")

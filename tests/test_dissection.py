@@ -34,6 +34,7 @@ from quiddity.surgery import (
     ReductionCertificate,
     SolutionClass,
     SurgeryStep,
+    apply_type1,
     reduce_word,
     solution_class,
 )
@@ -242,6 +243,24 @@ def test_symmetric_decagon():
     assert _half_quiddity(d) == half
 
 
+def test_symmetric_dissection_is_the_certificates():
+    # a 302-entry Problem III word: its 604-gon is far past the ceiling
+    # of the search over the doubled word
+    w = (1, 2)
+    for _ in range(300):
+        w = apply_type1(w, 0)
+    d = symmetric_dissection(w)
+    assert d.n == 604
+    assert is_centrally_symmetric(d)
+    assert quiddity(d) == w + w
+    assert d == from_certificate(reduce_word(w))
+    for n in range(2, 7):
+        for w in generative_enumerate("III", n).words:
+            assert symmetric_dissection(w) in list(symmetric_dissections(w))
+    with pytest.raises(ValueError, match="not a Problem III solution"):
+        symmetric_dissection((1, 1, 1))
+
+
 def test_half_quiddity_tetradecagon():
     d = _make_dissection(14, [(0, 7), (0, 8), (1, 7), (3, 5), (10, 12)])
     assert is_centrally_symmetric(d)
@@ -257,7 +276,8 @@ def test_half_quiddity_rejects_aperiodic():
 
 def test_json_round_trip():
     d = _make_dissection(7, [(0, 2), (2, 6)])
-    assert Dissection.from_json(d.to_json()) == d
+    doc = json.loads(json.dumps(d.to_json()))
+    assert Dissection(doc["n"], frozenset(map(tuple, doc["diagonals"]))) == d
 
 
 def test_render_smoke():

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 
 import pytest
 
@@ -94,12 +95,28 @@ def test_brute_force_uses_no_surgery(monkeypatch):
         generative_enumerate("II", 4)
 
 
+def _solves(problem, w):
+    # M(w) = E(a_n)...E(a_1) with E(x) = [[x, -1], [1, 0]], folded as four
+    # integers, independent of the library's matrices
+    a, b, c, d = 1, 0, 0, 1
+    for x in w:
+        a, b, c, d = x * a - c, x * b - d, a, b
+    if problem == "I":
+        return (a, b, c, d) == (1, 0, 0, 1)
+    if problem == "II":
+        return (a, b, c, d) == (-1, 0, 0, -1)
+    return a + d == 0
+
+
 def test_sum_prune_misses_nothing():
+    # the oracle's sum bound cuts no solution: every tuple below the entry
+    # bound alone, with no sum cap, gives the same words
     for problem in ("I", "II", "III"):
         for n in range(3, 7):
-            pruned = brute_force_enumerate(problem, n, sum_prune=True)
-            full = brute_force_enumerate(problem, n, sum_prune=False)
-            assert pruned.words == full.words
+            bound = entry_bound(_as_problem(problem), n)
+            full = tuple(w for w in itertools.product(range(1, bound + 1), repeat=n)
+                         if _solves(problem, w))
+            assert brute_force_enumerate(problem, n).words == full, (problem, n)
 
 
 def test_orbit_counts():
@@ -121,10 +138,13 @@ def test_orbit_counts():
 
 
 def test_problem_names():
-    for name in ("2", "ii", "II", "PROBLEM_II", SolutionClass.PROBLEM_II):
-        assert _as_problem(name) is SolutionClass.PROBLEM_II
-    assert _as_problem("3") is SolutionClass.PROBLEM_III
-    for name in ("BII", "LIII", "4", "none", SolutionClass.NOT_A_SOLUTION):
+    for names, cls in ((("1", "I"), SolutionClass.PROBLEM_I),
+                       (("2", "II"), SolutionClass.PROBLEM_II),
+                       (("3", "III"), SolutionClass.PROBLEM_III)):
+        for name in names + (cls,):
+            assert _as_problem(name) is cls
+    # SolutionClass("none") is NOT_A_SOLUTION, so "none" is refused by name
+    for name in ("ii", "PROBLEM_II", "BII", "LIII", "4", "none", SolutionClass.NOT_A_SOLUTION):
         with pytest.raises(ValueError):
             _as_problem(name)
 
