@@ -92,12 +92,23 @@ def rotate(w: Sequence[int], k: int) -> Word:
 
 
 def canonical_rotation(w: Sequence[int]) -> Word:
-    """Lexicographically least rotation of w: the least length-n slice
-    of the doubled tuple."""
+    """Lexicographically least rotation of w.
+
+    Only rotations that start at an occurrence of the least entry m can
+    win: any other starts with an entry above m, and the rotation that
+    starts at m is smaller in its first place.  So only those are
+    compared.  Rejects the empty word.
+    """
     word = tuple(w)
-    n = len(word)
-    doubled = word + word
-    return min([doubled[k:k + n] for k in range(n)])
+    least = min(word)
+    k = word.index(least)
+    best = word[k:] + word[:k]
+    for _ in range(word.count(least) - 1):
+        k = word.index(least, k + 1)
+        rotation = word[k:] + word[:k]
+        if rotation < best:
+            best = rotation
+    return best
 
 
 def canonical_dihedral(w: Sequence[int]) -> Word:

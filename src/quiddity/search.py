@@ -236,9 +236,13 @@ def _level_words(
 
 def _period(w: Word) -> int:
     """The number of distinct rotations of w: the least p dividing len(w)
-    with w rotated by p equal to w."""
+    with w rotated by p equal to w.
+
+    A proper divisor of n is at most n/2, so the scan stops there and
+    otherwise the period is n itself.
+    """
     n = len(w)
-    return next(p for p in range(1, n + 1) if n % p == 0 and w[p:] + w[:p] == w)
+    return next((p for p in range(1, n // 2 + 1) if n % p == 0 and w[p:] + w[:p] == w), n)
 
 
 def generative_enumerate(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from quiddity.matrices import (
     Mat2,
     NEG_IDENTITY,
     SolutionClass,
+    canonical_dihedral,
     canonical_rotation,
     check_word,
     classify_matrix,
@@ -99,6 +101,31 @@ def test_rotation_helpers():
     w = (3, 1, 2)
     assert rotate(w, 1) == (1, 2, 3)
     assert canonical_rotation((2, 1, 3)) == (1, 3, 2)
+
+
+def _least_rotation(w):
+    return min(w[k:] + w[:k] for k in range(len(w)))
+
+
+def test_canonical_forms_match_their_definitions():
+    # every word over {1, 2, 3} up to length 7, then random words with
+    # entries below 1 too: the canonical forms take any integers
+    words = [w for n in range(1, 8) for w in itertools.product((1, 2, 3), repeat=n)]
+    rng = random.Random(20)
+    words += [tuple(rng.randint(-2, 5) for _ in range(rng.randint(1, 16)))
+              for _ in range(2_000)]
+    for w in words:
+        least = _least_rotation(w)
+        assert canonical_rotation(w) == least, w
+        assert canonical_dihedral(w) == min(least, _least_rotation(w[::-1])), w
+    assert canonical_rotation([2, 1, 1, 2, 1]) == (1, 1, 2, 1, 2)
+    assert canonical_dihedral([2, 1, 3]) == (1, 2, 3)
+    for canonical in (canonical_rotation, canonical_dihedral):
+        assert type(canonical([3, 1, 2])) is tuple
+        with pytest.raises(ValueError):
+            canonical(())
+        with pytest.raises(ValueError):
+            canonical([])
 
 
 def test_classify_matrix():

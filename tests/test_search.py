@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from quiddity.limits import BudgetExceededError
 from quiddity.search import (
     SolutionClass,
     _as_problem,
+    _period,
     brute_force_enumerate,
     count_table,
     entry_bound,
@@ -119,6 +121,10 @@ def test_sum_prune_misses_nothing():
             assert brute_force_enumerate(problem, n).words == full, (problem, n)
 
 
+def _rotations(w):
+    return [w[k:] + w[:k] for k in range(len(w))]
+
+
 def test_orbit_counts():
     s = generative_enumerate("I", 7)
     assert len(orbit_representatives(s, "rotation")) == 1
@@ -127,14 +133,33 @@ def test_orbit_counts():
     s6 = generative_enumerate("III", 6)
     non_tp = [w for w in s6.words if not is_totally_positive(w)]
     assert len(non_tp) == 38
-    reps = set()
-    for w in non_tp:
-        images = [w[k:] + w[:k] for k in range(6)]
-        rev = w[::-1]
-        images += [rev[k:] + rev[:k] for k in range(6)]
-        reps.add(min(images))
+    reps = {min(_rotations(w) + _rotations(w[::-1])) for w in non_tp}
     assert len(reps) == 4
     assert (1, 1, 1, 1, 2, 3) in reps
+    # against the least rotation (and reflection) taken over every word
+    for problem, n, classes in (("I", 12, (809, 419)), ("II", 12, (1491, 772)),
+                                ("III", 9, (1976, 991))):
+        s = generative_enumerate(problem, n)
+        rotation = sorted({min(_rotations(w)) for w in s.words})
+        dihedral = sorted({min(_rotations(w) + _rotations(w[::-1])) for w in s.words})
+        assert orbit_representatives(s) == rotation
+        assert orbit_representatives(s, "dihedral") == dihedral
+        assert (len(rotation), len(dihedral)) == classes, problem
+
+
+def test_period_counts_distinct_rotations():
+    # every word over {1, 2, 3} up to length 7 and random words up to 16
+    words = [w for n in range(1, 8) for w in itertools.product((1, 2, 3), repeat=n)]
+    rng = random.Random(20)
+    words += [tuple(rng.randint(-2, 5) for _ in range(rng.randint(1, 16)))
+              for _ in range(2_000)]
+    for w in words:
+        assert _period(w) == len(set(_rotations(w))), w
+    # periods of exactly n/2, where a scan that stopped short would give n
+    assert _period((1, 2, 1, 2)) == 2
+    assert _period((2, 1, 1, 2, 1, 1)) == 3
+    assert _period((1, 1)) == 1
+    assert _period((1, 2)) == 2
 
 
 def test_problem_names():
