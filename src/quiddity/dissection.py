@@ -23,8 +23,9 @@ once per ``iter_dissections`` call, in the labels 0..s-1 of the s-gon,
 and mapped onto every arc of that length through one table of shared
 (min, max) tuples, so no tuple is made per mapped diagonal.  The
 searches for a given quiddity (``dissections_with_quiddity``,
-``symmetric_dissections``) walk the same choices in the same order but
-cut every branch whose face counts can no longer reach the word.
+``symmetric_dissections``) walk the same choices in the same order by
+plain recursion, and cut a branch whose face counts can no longer reach
+the word before they call it.
 
 ``from_certificate`` rebuilds a dissection by replaying a reduction
 certificate on the boundary and the diagonals alone.  A type-1 step
@@ -50,13 +51,13 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import limits
-from .matrices import SolutionClass, Word, check_word
+from .matrices import Word, check_word
 from .surgery import (
     BASE_TRIANGLE,
     BASES_CENTRAL,
     ReductionCertificate,
     SurgeryStep,
-    classify,
+    reduce_word,
 )
 
 Diagonal = tuple[int, int]
@@ -258,8 +259,8 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
 def symmetric_dissection(w: Sequence[int]) -> Dissection:
     """The centrally symmetric dissection of the 2n-gon with quiddity
     w + w that the certificate of the Problem III solution w builds."""
-    cls, cert = classify(w)
-    if cls is not SolutionClass.PROBLEM_III:
+    cert = reduce_word(w)  # NotASolutionError if w solves nothing
+    if cert.base not in BASES_CENTRAL:
         raise ValueError(f"{tuple(w)} is not a Problem III solution")
     return from_certificate(cert)
 
@@ -323,10 +324,10 @@ def _lists(m: int, pair: list[list[Diagonal]],
                     yield out
 
 
-def _quiddity_lists(word: Word) -> Iterator[list[Diagonal]]:
+def _quiddity_lists(word: Word) -> list[list[Diagonal]]:
     """The diagonals of every 3d-dissection of the len(word)-gon whose
     quiddity is ``word``, in the order ``_diagonal_lists`` yields them,
-    without its per-length lists.
+    without its per-length lists, gathered in one list by recursion.
 
     Pending arcs are split one at a time, the latest first, and each
     face grows through its vertices in increasing order, so the choices
@@ -336,66 +337,64 @@ def _quiddity_lists(word: Word) -> Iterator[list[Diagonal]]:
     vertices at least one face, so a branch is cut unless
     rem[v] >= pend[v], with rem[v] == 0 once pend[v] == 0.  A face
     vertex's counts are settled as soon as the face's next vertex is
-    chosen, and it is tested then; the vertices the face skips stay
-    inside one arc and keep theirs.
+    chosen, and tested then, before the call; the vertices the face
+    skips stay inside one arc and keep theirs.
     """
-    n = len(word)
-    return _split((list(word), [1] * n, [tuple(range(n))], []))
+    out: list[list[Diagonal]] = []
+    _split((list(word), [1] * len(word), [tuple(range(len(word)))], [], out))
+    return out
 
 
-def _take(rem: list[int], pend: list[int], v: int, arcs: int) -> bool:
-    # v joins a face that leaves `arcs` pending arcs (0-2) next to it
-    rem[v] -= 1
-    pend[v] += arcs - 1
-    return pend[v] <= rem[v] and (pend[v] > 0 or rem[v] == 0)
-
-
-def _give(rem: list[int], pend: list[int], v: int, arcs: int) -> None:
-    rem[v] += 1
-    pend[v] -= arcs - 1
-
-
-def _grow(state: tuple, poly: tuple[int, ...], cuts: list[int], k: int) -> Iterator[list[Diagonal]]:
-    """Choose the next vertex of the face of size k on poly's edge
-    (0, 1); ``cuts``: the face's first vertices, as indices into poly."""
-    rem, pend, pending, chords = state
+def _grow(state: tuple, poly: tuple[int, ...], cuts: list[int], k: int) -> None:
+    """Choose the next vertex of the face of size k on poly's edge (0, 1);
+    ``cuts``: its first vertices, as indices into poly.  A face vertex
+    needs a face less and swaps poly's arc for the arcs next to it."""
+    rem, pend, pending, chords, _ = state
     m, a = len(poly), cuts[-1]
-    before = a - cuts[-2] >= 2
+    v = poly[a]
+    r0, p0 = rem[v], pend[v]
+    r, p = r0 - 1, p0 + (a - cuts[-2] >= 2) - 1
     if len(cuts) == k:
         after = m - a >= 2  # the arc closing back to poly[0]
-        # `&`, not `and`: both vertices are taken, and both given back below
-        if _take(rem, pend, poly[a], before + after) & _take(rem, pend, poly[0], after):
+        u = poly[0]
+        p, ru, pu = p + after, rem[u] - 1, pend[u] + after - 1
+        if (0 < p <= r or p == r == 0) and (0 < pu <= ru or pu == ru == 0):
+            rem[v], pend[v], rem[u], pend[u] = r, p, ru, pu
             ends = cuts + [m]
             arcs = [poly[x:y + 1] if y < m else poly[x:] + poly[:1]
                     for x, y in zip(ends, ends[1:]) if y - x >= 2]
             pending.extend(reversed(arcs))
             chords.extend((c[0], c[-1]) if c[0] < c[-1] else (c[-1], c[0]) for c in arcs)
-            yield from _split(state)
+            _split(state)
             del pending[len(pending) - len(arcs):]
             del chords[len(chords) - len(arcs):]
-        _give(rem, pend, poly[a], before + after)
-        _give(rem, pend, poly[0], after)
+            rem[v], pend[v], rem[u], pend[u] = r0, p0, ru + 1, pu + 1 - after
         return
-    for b in range(a + 1, m - k + len(cuts) + 1):
-        arcs = before + (b - a >= 2)
-        if _take(rem, pend, poly[a], arcs):
-            cuts.append(b)
-            yield from _grow(state, poly, cuts, k)
-            cuts.pop()
-        _give(rem, pend, poly[a], arcs)
+    cuts.append(a + 1)
+    if 0 < p <= r or p == r == 0:  # next vertex a + 1: no arc after v
+        rem[v], pend[v] = r, p
+        _grow(state, poly, cuts, k)
+    p += 1
+    if 0 < p <= r or p == r == 0:  # a later vertex: one arc after v
+        rem[v], pend[v] = r, p
+        for b in range(a + 2, m - k + len(cuts)):  # room for the face's rest
+            cuts[-1] = b
+            _grow(state, poly, cuts, k)
+    cuts.pop()
+    rem[v], pend[v] = r0, p0
 
 
-def _split(state: tuple) -> Iterator[list[Diagonal]]:
+def _split(state: tuple) -> None:
     """Dissect the latest pending arc of the search ``state``, the lists
-    (rem, pend, pending, chords); a module-level recursion, so that the
-    search leaves no reference cycle for the collector."""
-    pending, chords = state[2], state[3]
+    (rem, pend, pending, chords, out); module-level functions leave no
+    reference cycle for the collector."""
+    pending = state[2]
     if not pending:
-        yield chords[:]
+        state[4].append(state[3][:])
         return
     poly = pending.pop()
     for k in range(3, len(poly) + 1, 3):
-        yield from _grow(state, poly, [0, 1], k)
+        _grow(state, poly, [0, 1], k)
     pending.append(poly)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiddity import surgery
 from quiddity.cli import main
 from quiddity.dissection import (
     Dissection,
@@ -31,6 +32,7 @@ from quiddity.limits import BudgetExceededError
 from quiddity.search import generative_enumerate, orbit_representatives
 from quiddity.surgery import (
     BASE_TRIANGLE,
+    NotASolutionError,
     ReductionCertificate,
     SolutionClass,
     SurgeryStep,
@@ -257,8 +259,28 @@ def test_symmetric_dissection_is_the_certificates():
     for n in range(2, 7):
         for w in generative_enumerate("III", n).words:
             assert symmetric_dissection(w) in list(symmetric_dissections(w))
-    with pytest.raises(ValueError, match="not a Problem III solution"):
-        symmetric_dissection((1, 1, 1))
+    # a Problem I or II word solves another problem; a word that solves
+    # none of the three is not a solution at all
+    for w, problem in (((1, 1, 1, 1, 1, 1), SolutionClass.PROBLEM_I),
+                       ((1, 1, 1), SolutionClass.PROBLEM_II)):
+        assert solution_class(w) is problem
+        with pytest.raises(ValueError, match="not a Problem III solution"):
+            symmetric_dissection(w)
+    with pytest.raises(NotASolutionError):
+        symmetric_dissection((2, 2, 2))
+
+
+def test_symmetric_dissection_classifies_once(monkeypatch):
+    calls = []
+    solution_class_of = surgery.solution_class
+
+    def counted(w):
+        calls.append(w)
+        return solution_class_of(w)
+
+    monkeypatch.setattr(surgery, "solution_class", counted)
+    symmetric_dissection((5, 2, 2, 2, 1))
+    assert len(calls) == 1
 
 
 def test_half_quiddity_tetradecagon():
@@ -357,8 +379,8 @@ def test_enumeration_leaves_no_cycles():
 
 
 def test_quiddity_searches_leave_no_cycles():
-    # the searches for a given quiddity recurse through module-level
-    # generators; nothing waits for the cyclic collector
+    # the searches for a given quiddity are a plain recursion of
+    # module-level functions; nothing waits for the cyclic collector
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
@@ -561,15 +583,28 @@ def _filtered(n, key):
 
 
 def test_search_equals_filter():
-    for n in range(3, 10):
-        by_quiddity = _filtered(n, quiddity)
+    # I and II up to the census length n = 10, III up to the 12-gon
+    by_quiddity = {n: _filtered(n, quiddity) for n in range(3, 11)}
+    for n, groups in by_quiddity.items():
         for problem in ("I", "II"):
             for w in generative_enumerate(problem, n).words:
-                assert dissections_with_quiddity(w) == by_quiddity[w]
-    for n in range(2, 6):
+                assert dissections_with_quiddity(w) == groups[w]
+    for n in range(2, 7):
         by_half = _filtered(2 * n, lambda d: quiddity(d)[:n] if is_centrally_symmetric(d) else None)
         for w in generative_enumerate("III", n).words:
             assert list(symmetric_dissections(w)) == by_half[w]
+    # random words with the entry sum 3n - 6 of a triangulated n-gon, most
+    # of them no quiddity: the search finds what the filter finds, and
+    # nothing where the filter has no group
+    rng = random.Random(21)
+    hits = 0
+    for _ in range(500):
+        n = rng.randint(4, 10)
+        cuts = [0, *sorted(rng.sample(range(1, 3 * n - 6), n - 1)), 3 * n - 6]
+        w = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+        assert dissections_with_quiddity(w) == by_quiddity[n].get(w, [])
+        hits += w in by_quiddity[n]
+    assert hits > 5, hits
 
 
 def test_per_word_counts_sum_to_generating_function():

@@ -123,12 +123,12 @@ def test_uniqueness_spot_check():
         uniqueness_spot_check(11)
 
 
-def test_element_quiddities_are_unique_to_length_11():
-    # the uniqueness frontier: every element quiddity of length <= 11 is
+def test_element_quiddities_are_unique_to_length_12():
+    # the uniqueness frontier: every element quiddity of length <= 12 is
     # carried by exactly one 3d-dissection, and no element is reported twice
-    reports = conjecture_probe(11)
-    assert len(reports) == 1150
-    assert len({tuple(map(tuple, r["element"])) for r in reports}) == 1150
+    reports = conjecture_probe(12)
+    assert len(reports) == 2306
+    assert len({tuple(map(tuple, r["element"])) for r in reports}) == 2306
     assert all(r["dissections_found"] == 1 for r in reports)
 
 
