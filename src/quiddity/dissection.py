@@ -208,10 +208,9 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
     is the certificate's word w; for a Problem III certificate, into a
     centrally symmetric dissection of the 2n-gon with quiddity w + w.
 
-    ``cert.replay()`` checks every step against the word, whose entry
-    at a vertex is the number of faces there, so a step that passes it
-    fits the boundary and the diagonals here too."""
-    cert.replay()
+    Each step is checked where it is spliced, as ``replay`` checks it on
+    the word: its position must lie on the boundary, and a split must fit
+    the entry at u, which is u's number of diagonals plus one."""
     steps: Iterable[SurgeryStep]
     if cert.base == BASE_TRIANGLE:
         boundary, steps = [0, 1, 2], cert.steps
@@ -228,8 +227,9 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
     # ends of the diagonals at v in boundary order, from the side of v's
     # preceding boundary vertex round to its following one.
     for step in steps:
-        n = len(boundary)
-        i = step.position
+        n, i = len(boundary), step.position
+        if not 0 <= i < n:
+            raise ValueError(f"position {i} out of range for a boundary of {n} vertices")
         if step.split is None:
             # the glued triangle turns the edge it sits on into a diagonal,
             # the last at u and the first at nxt
@@ -239,10 +239,12 @@ def from_certificate(cert: ReductionCertificate) -> Dissection:
             ends.append([])
             boundary.insert(i + 1, n)
         else:
-            u, cut = boundary[i], step.split[0] - 1
+            u, (a1, a2) = boundary[i], step.split
+            if a1 < 1 or a2 < 1 or a1 + a2 != len(ends[u]) + 2:
+                raise ValueError(f"invalid split {step.split} for entry {len(ends[u]) + 1}")
             # the a'-th face at u lies between its (a'-1)-th and a'-th
             # diagonals, and the diagonals after it move to u2 = n + 2
-            ends[u], moved = ends[u][:cut], ends[u][cut:]
+            ends[u], moved = ends[u][:a1 - 1], ends[u][a1 - 1:]
             ends += [[], [], moved]
             for v in moved:
                 ends[v][ends[v].index(u)] = n + 2

@@ -49,7 +49,8 @@ def frieze(w: Sequence[int], r_max: Optional[int] = None) -> Frieze:
     Defaults: n-1 rows (r = 0..n-2) for Problem II, bordered by 1s on
     both sides; 2n-1 rows (r = 0..2n-2) for Problem III, where the word
     acts as an n-periodic coefficient sequence and the array is glide
-    symmetric about its middle row.
+    symmetric about its middle row.  ValueError if ``r_max`` > 2n - 2: later
+    rows repeat with a sign flip, K_{r+n} = -K_r (II), K_{r+2n} = -K_r (III).
     """
     word = check_word(w)
     cls = solution_class(word)
@@ -60,6 +61,8 @@ def frieze(w: Sequence[int], r_max: Optional[int] = None) -> Frieze:
         r_max = n - 2 if cls is SolutionClass.PROBLEM_II else 2 * n - 2
     if r_max < 1:
         raise ValueError("need at least rows 0 and 1")
+    if r_max > 2 * n - 2:
+        raise ValueError(f"rows past 2n - 2 = {2 * n - 2} repeat the frieze with a sign flip")
     return Frieze(word, tuple(_continuant_rows(word, r_max)))
 
 

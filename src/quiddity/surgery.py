@@ -10,7 +10,9 @@ Two local surgeries act on words of positive integers:
 Every word whose product is Id, -Id, or trace-zero can be brought down
 to a base word ((1,1,1) for the first two, (1,2)/(2,1) for trace zero)
 by inverting these surgeries.  ``reduce_word`` does this with a fixed
-deterministic scan and returns a replayable certificate.
+deterministic scan and returns a replayable certificate, which proves the
+word's class by itself (``ReductionCertificate.solution_class``), so
+``classify`` reads the class from it.
 
 Positions are cyclic.  A step splices its entries into the stored
 tuple and then rotates the result by its ``shift``: a step that acts
@@ -85,6 +87,16 @@ class ReductionCertificate:
         """R: number of entry-splitting (type 2) steps."""
         return sum(1 for s in self.steps if s.split is not None)
 
+    @property
+    def solution_class(self) -> SolutionClass:
+        """III from a central base; from (1,1,1), whose product is -Id, I after
+        an odd number of splits and II after an even one; else ValueError."""
+        if self.base in BASES_CENTRAL:
+            return SolutionClass.PROBLEM_III
+        if self.base != BASE_TRIANGLE:
+            raise ValueError(f"no solution class for a certificate with base {self.base}")
+        return SolutionClass.PROBLEM_I if self.type2_count % 2 else SolutionClass.PROBLEM_II
+
     def replay(self) -> Word:
         """The word the steps rebuild; the base is checked once."""
         w = check_word(self.base)
@@ -133,14 +145,9 @@ def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
     i - 1 of the shorter word: its last entry when i == 0, and then a
     shift of -1 brings the 1 back to the front."""
     n = len(word)
-    if n < 3:
-        raise ValueError("word too short to undo a type-1 surgery")
-    left, right = (i - 1) % n, (i + 1) % n
-    if word[i] != 1 or word[left] < 2 or word[right] < 2:
-        raise ValueError(f"no isolated 1 with neighbors >= 2 at position {i}")
     out = list(word)
-    out[left] -= 1
-    out[right] -= 1
+    out[(i - 1) % n] -= 1
+    out[(i + 1) % n] -= 1
     del out[i]
     step = SurgeryStep((i - 1) % (n - 1), shift=-1 if i == 0 else 0)
     return tuple(out), step
@@ -149,10 +156,6 @@ def _inverse_type1(word: Word, i: int) -> tuple[Word, SurgeryStep]:
 def _inverse_type2(word: Word, i: int) -> tuple[Word, SurgeryStep]:
     """Undo a type-2 surgery at the two adjacent 1s starting at position i."""
     n = len(word)
-    if n < 5:
-        raise ValueError("word too short to undo a type-2 surgery")
-    if word[i] != 1 or word[(i + 1) % n] != 1:
-        raise ValueError(f"no consecutive 1s starting at position {i}")
     q = (i - 1) % n  # first index of the fragment (a', 1, 1, a'')
     outer1, outer2 = word[q], word[(q + 3) % n]
     merged = outer1 + outer2 - 1
@@ -172,7 +175,9 @@ def reduce_word(w: Sequence[int]) -> ReductionCertificate:
     inverse type-2, else the first admitting an inverse type-1.  A length
     guard keeps the intermediate words inside the solution sets: the
     result of either inverse surgery must have length >= 3 for Id/-Id
-    words and >= 2 for trace-zero words.
+    words and >= 2 for trace-zero words; the inverse surgeries check
+    nothing else.  A stuck scan, or a certificate whose replay or class
+    is not the word's, contradicts the paper's theorem: AssertionError.
     """
     word = check_word(w)
     cls = solution_class(word)
@@ -197,34 +202,23 @@ def reduce_word(w: Sequence[int]) -> ReductionCertificate:
                     cur, step = _inverse_type1(cur, i)
                     break
         if step is None:
-            raise NotASolutionError(word, "reduction got stuck")
+            raise AssertionError(f"reduction of the solution {word} got stuck")
         steps_reversed.append(step)
 
     cert = ReductionCertificate(cur, tuple(reversed(steps_reversed)))
-    if cert.replay() != word:
-        raise AssertionError(f"certificate replay mismatch for {word}")
+    if cert.replay() != word or cert.solution_class is not cls:
+        raise AssertionError(f"certificate does not rebuild {word} of class {cls}")
     return cert
 
 
-def classify(
-    w: Sequence[int],
-) -> tuple[SolutionClass, Optional[ReductionCertificate]]:
-    """Solution class of a word, with a reduction certificate if it is one."""
-    word = check_word(w)
-    cls = solution_class(word)
-    if cls is SolutionClass.NOT_A_SOLUTION:
-        return cls, None
-    cert = reduce_word(word)
-    # parity cross-check: splits flip the product sign, (1,1,1) gives -Id
-    if cls is SolutionClass.PROBLEM_I:
-        ok = cert.base == BASE_TRIANGLE and cert.type2_count % 2 == 1
-    elif cls is SolutionClass.PROBLEM_II:
-        ok = cert.base == BASE_TRIANGLE and cert.type2_count % 2 == 0
-    else:
-        ok = cert.base in BASES_CENTRAL
-    if not ok:
-        raise AssertionError(f"certificate inconsistent with class {cls} for {word}")
-    return cls, cert
+def classify(w: Sequence[int]) -> tuple[SolutionClass, Optional[ReductionCertificate]]:
+    """Solution class of a word, with a reduction certificate if it is one:
+    the certificate's class, which ``reduce_word`` checked."""
+    try:
+        cert = reduce_word(w)
+    except NotASolutionError:
+        return SolutionClass.NOT_A_SOLUTION, None
+    return cert.solution_class, cert
 
 
 def is_reduced(w: Sequence[int]) -> bool:

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import quiddity
+from quiddity import surgery
 from quiddity.cli import EXIT_CLOSED_STDOUT, main
 from quiddity.dissection import faces, from_certificate
 from quiddity.frieze import frieze, render_text
 from quiddity.matrices import IDENTITY, NEG_IDENTITY, Mat2
 from quiddity.psl2 import element_index, element_quiddity, reduced_decomposition
-from quiddity.surgery import classify, reduce_word
+from quiddity.surgery import ReductionCertificate, classify, reduce_word
 
 
 def run(capsys, *argv):
@@ -213,6 +214,10 @@ def test_frieze_json(capsys):
     doc = json.loads(out)
     assert doc["rows"][2] == [2, 2, 1, 3, 1]
     assert doc["tame"] is True
+    # rows past 2n - 2 only repeat with a sign flip: refused at once
+    code, out, err = run(capsys, "--format", "json", "frieze", "1,2", "--rows", "100000000000")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("word, cls, reason", [
@@ -226,6 +231,41 @@ def test_frieze_refused(capsys, word, cls, reason):
     assert (code, out) == (1, f"{tuple(entries)}: {reason}\n")
     code, out, _ = run(capsys, "--format", "json", "frieze", word)
     assert (code, out) == (1, json.dumps({"word": entries, "class": cls}, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("argv, classifications, replays", [
+    (["verify", "1,1,2,1,1"], 2, 1),
+    (["verify", "2,1,2,1,1,1,1"], 2, 1),
+    (["verify", "2,2"], 1, 0),
+    (["dissect", "1,1,2,1,1"], 1, 1),
+    (["dissect", "2,1,2,1,1,1,1"], 1, 1),
+    (["decompose", "2,1,1,1"], 3, 1),
+], ids=["verify-III", "verify-I", "verify-none", "dissect-III", "dissect-I", "decompose"])
+def test_one_verdict_per_query(capsys, monkeypatch, argv, classifications, replays):
+    # verify: reduce_word and rotation_index classify; dissect: reduce_word
+    # only; decompose: element_quiddity, rotation_index and reduce_word.
+    # The one replay is reduce_word's check: classify reads the class from
+    # the certificate, and from_certificate checks each step as it builds.
+    calls = []
+    solution_class_of = surgery.solution_class
+    replay = ReductionCertificate.replay
+
+    def counted(w):
+        calls.append("solution_class")
+        return solution_class_of(w)
+
+    def counted_replay(cert):
+        calls.append("replay")
+        return replay(cert)
+
+    for name, module in list(sys.modules.items()):
+        in_package = name == "quiddity" or name.startswith("quiddity.")
+        if in_package and getattr(module, "solution_class", None) is solution_class_of:
+            monkeypatch.setattr(module, "solution_class", counted)
+    monkeypatch.setattr(ReductionCertificate, "replay", counted_replay)
+    code, _, _ = run(capsys, *argv)
+    assert code == (1 if argv[1] == "2,2" else 0)
+    assert (calls.count("solution_class"), calls.count("replay")) == (classifications, replays)
 
 
 def test_decompose(capsys):

@@ -120,7 +120,8 @@ def test_heptagon_example():
 
 def test_round_trip_all_solutions():
     # each type-1 step adds one diagonal; a Problem III certificate is
-    # replayed twice over, on a square that already has one diameter
+    # replayed twice over, on a square that already has one diameter; the
+    # certificate's own class is the word's
     for problem in ("I", "II"):
         for n in range(3, 9):
             for w in generative_enumerate(problem, n).words:
@@ -128,6 +129,7 @@ def test_round_trip_all_solutions():
                 d = from_certificate(cert)
                 assert quiddity(d) == w
                 assert len(d.diagonals) == cert.type1_count
+                assert cert.solution_class == solution_class(w)
     for n in range(2, 9):
         for w in generative_enumerate("III", n).words:
             cert = reduce_word(w)
@@ -135,6 +137,12 @@ def test_round_trip_all_solutions():
             assert quiddity(d) == w + w
             assert is_centrally_symmetric(d)
             assert len(d.diagonals) == 2 * cert.type1_count + 1
+            assert cert.solution_class == solution_class(w)
+    # a certificate on any other base replays, but proves no class
+    cert = ReductionCertificate((2, 2), (SurgeryStep(0),))
+    assert cert.replay() == (3, 1, 3)
+    with pytest.raises(ValueError):
+        cert.solution_class
 
 
 @pytest.mark.parametrize("base,steps", [
@@ -145,8 +153,12 @@ def test_round_trip_all_solutions():
     ((1, 1, 1), [SurgeryStep(0), SurgeryStep(0, (3, 0))]),
     ((2, 1), [SurgeryStep(2)]),
     ((2, 1), [SurgeryStep(0, (3, 1))]),
+    # the first antipodal copy of each step fits, the step itself does not
+    ((1, 2), [SurgeryStep(-1)]),
+    ((2, 1), [SurgeryStep(0, (1, 0))]),
 ], ids=["position-too-large", "position-negative", "split-too-large",
-        "split-too-small", "split-zero", "III-position-too-large", "III-split-too-large"])
+        "split-too-small", "split-zero", "III-position-too-large", "III-split-too-large",
+        "III-position-negative", "III-split-zero"])
 def test_malformed_certificate_rejected_by_both_replays(base, steps):
     cert = ReductionCertificate(base, tuple(steps))
     with pytest.raises(ValueError):
@@ -271,16 +283,24 @@ def test_symmetric_dissection_is_the_certificates():
 
 
 def test_symmetric_dissection_classifies_once(monkeypatch):
+    # one classification in reduce_word, and one replay, in its check:
+    # from_certificate checks each step as it builds
     calls = []
     solution_class_of = surgery.solution_class
+    replay = ReductionCertificate.replay
 
     def counted(w):
-        calls.append(w)
+        calls.append("solution_class")
         return solution_class_of(w)
 
+    def counted_replay(cert):
+        calls.append("replay")
+        return replay(cert)
+
     monkeypatch.setattr(surgery, "solution_class", counted)
+    monkeypatch.setattr(ReductionCertificate, "replay", counted_replay)
     symmetric_dissection((5, 2, 2, 2, 1))
-    assert len(calls) == 1
+    assert sorted(calls) == ["replay", "solution_class"]
 
 
 def test_half_quiddity_tetradecagon():

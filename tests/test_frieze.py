@@ -77,6 +77,17 @@ def test_frieze_rejects():
         frieze((2, 2))
     with pytest.raises(NotASolutionError):
         frieze((1,) * 6)  # Id words carry no frieze
+    with pytest.raises(ValueError, match="need at least rows 0 and 1"):
+        frieze((1, 2), r_max=0)
+    # rows past 2n - 2 repeat with a sign flip: K_{r+n} = -K_r for II and
+    # K_{r+2n} = -K_r for III
+    for w in ((1, 2), (1, 3, 1, 2, 2)):
+        last = 2 * len(w) - 2
+        assert frieze(w, r_max=last).r_max == last
+        with pytest.raises(ValueError, match="2n - 2"):
+            frieze(w, r_max=last + 1)
+    f = frieze((1, 3, 1, 2, 2), r_max=8)
+    assert f.rows[5:] == tuple(tuple(-x for x in row) for row in f.rows[:4])
 
 
 def test_corrupted_frieze_is_not_tame():

@@ -211,9 +211,16 @@ def test_reduce_word_rotation_independent_counts():
         assert cert.type2_count == base_cert.type2_count
 
 
-def test_reduce_word_rejects_non_solution():
+def test_reduce_word_rejects_non_solution(monkeypatch):
     with pytest.raises(NotASolutionError):
         reduce_word((3, 3, 3))
+    # a certificate of another class, or a solution that no inverse
+    # surgery reduces, would contradict the theorem: not "no solution"
+    monkeypatch.setattr(quiddity.surgery, "solution_class", lambda w: SolutionClass.PROBLEM_I)
+    with pytest.raises(AssertionError, match="class"):
+        reduce_word((1, 1, 1))
+    with pytest.raises(AssertionError, match="stuck"):
+        reduce_word((2, 2, 2))
 
 
 def test_classify_parity():
