@@ -138,7 +138,7 @@ def cmd_dissect(args) -> int:
         return EXIT_DOMAIN
     if args.all:
         if cls is SolutionClass.PROBLEM_III:
-            found = list(dmod.symmetric_dissections(word, budget=args.budget))
+            found = dmod.symmetric_dissections(word, budget=args.budget)
         else:
             found = dmod.dissections_with_quiddity(word, budget=args.budget)
         docs = [d.to_json() for d in found]

@@ -22,10 +22,9 @@ depend only on its length, so each length's diagonal lists are built
 once per ``iter_dissections`` call, in the labels 0..s-1 of the s-gon,
 and mapped onto every arc of that length through one table of shared
 (min, max) tuples, so no tuple is made per mapped diagonal.  The
-searches for a given quiddity (``dissections_with_quiddity``,
-``symmetric_dissections``) walk the same choices in the same order by
-plain recursion, and cut a branch whose face counts can no longer reach
-the word before they call it.
+search for a given quiddity, ``dissections_with_quiddity``, walks the
+same choices in the same order by plain recursion, and cuts a branch
+whose face counts can no longer reach the word before it calls it.
 
 ``from_certificate`` rebuilds a dissection by replaying a reduction
 certificate on the boundary and the diagonals alone.  A type-1 step
@@ -40,7 +39,7 @@ w.  A Problem III certificate starts from the square with one diameter
 and applies every step at two antipodal places, which builds a
 centrally symmetric 2n-gon with quiddity w + w: ``symmetric_dissection``
 is that dissection, with no search.  ``symmetric_dissections`` lists
-every such dissection by the search over w + w.
+every such dissection: the search over w + w, filtered.
 """
 
 from __future__ import annotations
@@ -400,21 +399,21 @@ def _split(state: tuple) -> None:
     pending.append(poly)
 
 
-def _check_polygon(n: int, budget: Optional[int]) -> None:
+def _check_polygon(n: int, budget: Optional[int] = None) -> None:
     """The budget and size checks every search over the n-gon makes first."""
     limits.check_budget(n, limits.DEFAULT_DISSECTION_CEILING, budget, "dissection enumeration")
     if n < 3:
         raise ValueError("no polygon with fewer than 3 vertices")
 
 
-def iter_dissections(n: int, budget: Optional[int] = None) -> Iterator[Dissection]:
+def iter_dissections(n: int) -> Iterator[Dissection]:
     """Generate all 3d-dissections of the labeled n-gon, deterministically.
 
     Memory grows with the number of dissections of the (n-1)-gon, which
     are all held from the first item on (a tracemalloc peak of about
     22 MiB at n = 14).
     """
-    _check_polygon(n, budget)
+    _check_polygon(n)
     for diagonals in _diagonal_lists(n):
         yield Dissection(n, frozenset(diagonals))
 
@@ -427,15 +426,11 @@ def dissections_with_quiddity(w: Sequence[int], budget: Optional[int] = None) ->
     return [Dissection(len(word), frozenset(diagonals)) for diagonals in _quiddity_lists(word)]
 
 
-def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> Iterator[Dissection]:
+def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> list[Dissection]:
     """The centrally symmetric dissections of the 2n-gon whose quiddity
     is w + w for the Problem III solution w, in enumeration order."""
-    double = check_word(w) * 2
-    _check_polygon(len(double), budget)
-    for diagonals in _quiddity_lists(double):
-        d = Dissection(len(double), frozenset(diagonals))
-        if is_centrally_symmetric(d):
-            yield d
+    found = dissections_with_quiddity(check_word(w) * 2, budget)
+    return [d for d in found if is_centrally_symmetric(d)]
 
 
 # -- rendering ----------------------------------------------------------------

@@ -3,18 +3,21 @@ positivity, and Farey-polygon quiddities.
 
 Row r of the frieze of a word (a_1..a_n) holds the cyclic continuants
 K_r(a_i,...,a_{i+r-1}); row 0 is all 1s, row 1 is the word itself.
-Two virtual rows K_{-1} = 0 and K_{-2} = -1 sit above the array and
-take part in the tameness diamonds.
+Column i is the ``sturm.iterate`` sequence of the word read from a_i,
+started at (V_0, V_1) = (0, 1), whose V_{r+1} is that K_r: friezes and
+Sturm sequences run one recurrence.  Two virtual rows K_{-1} = 0 and
+K_{-2} = -1 sit above the array and take part in the tameness diamonds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .dissection import Dissection, quiddity as dissection_quiddity
 from .matrices import Word, check_word
 from .search import sum_bound
+from .sturm import iterate
 from .surgery import NotASolutionError, SolutionClass, solution_class
 
 
@@ -63,20 +66,8 @@ def frieze(w: Sequence[int], r_max: Optional[int] = None) -> Frieze:
         raise ValueError("need at least rows 0 and 1")
     if r_max > 2 * n - 2:
         raise ValueError(f"rows past 2n - 2 = {2 * n - 2} repeat the frieze with a sign flip")
-    return Frieze(word, tuple(_continuant_rows(word, r_max)))
-
-
-def _continuant_rows(word: Word, r_max: int) -> Iterator[tuple[int, ...]]:
-    """Rows 0..r_max of cyclic continuants, each from the two above it:
-    K_r(a_i..a_{i+r-1}) = a_{i+r-1} K_{r-1}(a_i..) - K_{r-2}(a_i..),
-    starting from the virtual row K_{-1} = 0.  No division, so rows
-    holding zeros are fine."""
-    n = len(word)
-    prev, cur = (0,) * n, (1,) * n
-    yield cur
-    for r in range(1, r_max + 1):
-        prev, cur = cur, tuple(word[(i + r - 1) % n] * cur[i] - prev[i] for i in range(n))
-        yield cur
+    columns = [iterate(word[i:] + word[:i], 0, 1, r_max + 1)[1:] for i in range(n)]
+    return Frieze(word, tuple(zip(*columns)))
 
 
 def check_tame(f: Frieze) -> bool:

@@ -21,12 +21,13 @@ dissection with a rotation index.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import limits
 from .dissection import dissections_with_quiddity
 from .matrices import Mat2, Word, word_product
-from .surgery import SolutionClass, is_reduced, solution_class
+from .search import generative_enumerate
+from .surgery import is_reduced
 from .sturm import rotation_index
 
 
@@ -100,13 +101,9 @@ def reduced_decomposition(m: Mat2) -> Word:
 
 def element_quiddity(m: Mat2) -> tuple[Word, Word]:
     """The reduced words of m and m^{-1}, whose concatenation, the
-    quiddity of m, is a Problem I or II solution."""
-    left = reduced_decomposition(m)
-    right = reduced_decomposition(m.inverse())
-    combined = left + right
-    if solution_class(combined) not in (SolutionClass.PROBLEM_I, SolutionClass.PROBLEM_II):
-        raise AssertionError(f"combined quiddity {combined} is not a Problem I/II solution")
-    return left, right
+    quiddity of m, is a Problem I or II solution: each decomposition
+    checks its product, so M(left + right) = (+-m^-1)(+-m) = +-Id."""
+    return reduced_decomposition(m), reduced_decomposition(m.inverse())
 
 
 def element_index(m: Mat2) -> Fraction:
@@ -155,7 +152,7 @@ def uniqueness_spot_check(max_length: int) -> bool:
     return True
 
 
-def conjecture_probe(word_length_bound: int, budget: Optional[int] = None) -> list[dict]:
+def conjecture_probe(word_length_bound: int) -> list[dict]:
     """Experimental report: for every group element whose combined
     quiddity has length <= the bound, how many dissections carry that
     quiddity.  Reports, never asserts.
@@ -167,13 +164,11 @@ def conjecture_probe(word_length_bound: int, budget: Optional[int] = None) -> li
     unique, so each element comes from one split and is reported once.
     """
     limits.check_budget(word_length_bound, limits.DEFAULT_DISSECTION_CEILING,
-                        budget, "conjecture probe")
-    from .search import generative_enumerate
-
+                        None, "conjecture probe")
     reports = []
     for n in range(3, word_length_bound + 1):
         for problem in ("I", "II"):
-            for u in generative_enumerate(problem, n, budget=word_length_bound).words:
+            for u in generative_enumerate(problem, n).words:
                 for k in range(1, n):
                     left, right = u[:k], u[k:]
                     if not (is_reduced(left) and is_reduced(right)):
@@ -184,7 +179,7 @@ def conjecture_probe(word_length_bound: int, budget: Optional[int] = None) -> li
                         "reduced": list(left),
                         "quiddity": list(u),
                         "index_twice": int(rotation_index(u) * 2),
-                        "dissections_found": len(dissections_with_quiddity(u, budget=budget)),
+                        "dissections_found": len(dissections_with_quiddity(u)),
                     })
     reports.sort(key=lambda r: (len(r["quiddity"]), r["quiddity"], r["element"]))
     return reports

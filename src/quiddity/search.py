@@ -266,32 +266,27 @@ def orbit_representatives(s: SolutionSet, symmetry: str = "rotation") -> list[Wo
 
 
 def count_table(
-    problem: SolutionClass | str,
-    n_max: int,
-    budget: int | None = None,
-    cross_check_up_to: int = 0,
+    problem: SolutionClass | str, n_max: int, cross_check_up_to: int = 0
 ) -> list[tuple[int, int]]:
     """(n, solution count) for n up to n_max, from one generative
     closure built up to n_max.
 
-    Lengths up to ``cross_check_up_to`` list every word, which must equal
-    the brute-force oracle's words, or the table raises.  Longer lengths
-    list nothing: a rotation class of period p holds exactly p words, so
-    the count is the sum of the periods of the closure's representatives.
+    Every length is counted the same way: a rotation class of period p
+    holds exactly p words, so the count is the sum of the periods of the
+    closure's representatives.  Lengths up to ``cross_check_up_to`` also
+    list every word: the brute-force oracle's words must equal them, and
+    their number must equal that sum, or the table raises.
     """
     problem = _as_problem(problem)
-    limits.check_budget(n_max, limits.DEFAULT_GENERATIVE_CEILING, budget, "generative search")
+    limits.check_budget(n_max, limits.DEFAULT_GENERATIVE_CEILING, None, "generative search")
     levels = _closure(problem, n_max)
     n_min = 2 if problem is SolutionClass.PROBLEM_III else 3
     table = []
     for n in range(n_min, n_max + 1):
-        if n > cross_check_up_to:
-            table.append((n, sum(map(_period, _level_classes(problem, levels, n)))))
-            continue
-        words = _level_words(problem, levels, n)
-        if brute_force_enumerate(problem, n, budget=budget).words != words:
-            raise AssertionError(
-                f"enumerator disagreement for {problem.value}, n={n}"
-            )
-        table.append((n, len(words)))
+        count = sum(map(_period, _level_classes(problem, levels, n)))
+        if n <= cross_check_up_to:
+            words = brute_force_enumerate(problem, n).words
+            if words != _level_words(problem, levels, n) or len(words) != count:
+                raise AssertionError(f"enumerator disagreement for {problem.value}, n={n}")
+        table.append((n, count))
     return table

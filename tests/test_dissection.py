@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiddity import surgery
+from quiddity import limits, surgery
 from quiddity.cli import main
 from quiddity.dissection import (
     Dissection,
@@ -332,6 +332,14 @@ def test_render_smoke():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         next(iter_dissections(15))
+
+
+def test_symmetric_dissections_checks_the_budget_at_the_call(monkeypatch):
+    # the doubled word of this Problem III solution is a 16-gon; the list
+    # is refused when it is asked for, before anything is iterated
+    monkeypatch.delenv(limits.ENV_VAR, raising=False)
+    with pytest.raises(BudgetExceededError):
+        symmetric_dissections((1, 1, 2, 1, 1, 1, 1, 1))
 
 
 def _reference_lists(poly):

@@ -32,3 +32,12 @@ def test_env_budget_never_lowers_a_default(monkeypatch):
     monkeypatch.setattr(dissection, "_diagonal_lists", lambda n: iter(()))
     assert len(search.generative_enumerate("I", 14)) == 0
     assert list(dissection.iter_dissections(14)) == []
+    # the searches without a budget argument reach past their ceilings
+    # only through the variable
+    with pytest.raises(limits.BudgetExceededError):
+        search.count_table("II", 15)
+    with pytest.raises(limits.BudgetExceededError):
+        next(dissection.iter_dissections(15))
+    monkeypatch.setenv(limits.ENV_VAR, "15")
+    assert search.count_table("II", 15) == [(n, 0) for n in range(3, 16)]
+    assert list(dissection.iter_dissections(15)) == []

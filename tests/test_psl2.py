@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quiddity import limits
 from quiddity.limits import BudgetExceededError
 from quiddity.matrices import IDENTITY, Mat2, NEG_IDENTITY, word_product
 from quiddity.dissection import from_certificate, profile
@@ -130,6 +131,13 @@ def test_element_quiddities_are_unique_to_length_12():
     assert len(reports) == 2306
     assert len({tuple(map(tuple, r["element"])) for r in reports}) == 2306
     assert all(r["dissections_found"] == 1 for r in reports)
+
+
+def test_conjecture_probe_budget(monkeypatch):
+    # the probe takes no budget; only QUIDDITY_BUDGET raises its ceiling
+    monkeypatch.delenv(limits.ENV_VAR, raising=False)
+    with pytest.raises(BudgetExceededError):
+        conjecture_probe(15)
 
 
 def test_conjecture_probe_reports():

@@ -214,6 +214,14 @@ def test_count_table_raises_on_disagreement(monkeypatch):
         count_table("II", 7, cross_check_up_to=6)
 
 
+def test_count_table_counts_by_period_at_cross_checked_lengths(monkeypatch):
+    # every length is counted by period, so a cross-checked length also
+    # checks the period sum against the number of words it listed
+    monkeypatch.setattr(quiddity.search, "_period", lambda w: len(w) + 1)
+    with pytest.raises(AssertionError, match="II, n=3"):
+        count_table("II", 7, cross_check_up_to=7)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         brute_force_enumerate("II", 13)
