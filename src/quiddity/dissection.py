@@ -6,25 +6,28 @@ one where every face has 3, 6, 9, ... vertices.  The quiddity of a
 3d-dissection is the tuple counting, at each vertex, the number of
 faces adjacent to it.
 
-Faces are built once per dissection, by the constructor: one pass over
-the sorted diagonals checks each and records, for every vertex, the far
-end of its outermost diagonal.  Every face has one chord, from its least
-vertex to its greatest, and is found by one walk along those far ends
-from that least vertex to the chord's other end.  A walk that passes the
-end of its chord shows two crossing diagonals, and every crossing makes
-some walk pass its end (``_sweep`` says why).  The enumerator and
-``from_certificate`` hand over diagonals only, so every dissection gets
-its faces the same way.
+Every face has one chord, from its least vertex to its greatest: a
+diagonal, or the edge (0, n - 1).  The constructor takes diagonals from
+any caller, so it checks them and builds the faces in one sweep: one pass
+over the sorted diagonals checks each and records, for every vertex, the
+far end of its outermost diagonal, and each face is found by one walk
+along those far ends from its chord's least vertex to the other end.  A
+walk that passes the end of its chord shows two crossing diagonals, and
+every crossing makes some walk pass its end (``_sweep`` says why).
+``from_certificate`` hands over diagonals only, so its dissections are
+swept like any caller's.
 
-The enumerator chooses the face on edge (0, 1) and then dissects each
-arc of the boundary that this face leaves over.  An arc's dissections
-depend only on its length, so each length's diagonal lists are built
-once per ``iter_dissections`` call, in the labels 0..s-1 of the s-gon,
-and mapped onto every arc of that length through one table of shared
-(min, max) tuples, so no tuple is made per mapped diagonal.  The
-search for a given quiddity, ``dissections_with_quiddity``, walks the
-same choices in the same order by plain recursion, and cuts a branch
-whose face counts can no longer reach the word before it calls it.
+The two enumerators choose every face themselves, so they hand each
+dissection over with its faces, and its diagonals are those faces'
+chords; nothing is swept again.  The enumerator chooses the face on edge
+(0, 1) and then dissects each arc of the boundary that this face leaves
+over.  An arc's dissections depend only on its length, so each length's
+face lists are built once per ``iter_dissections`` call, in the labels
+0..s-1 of the s-gon, and mapped onto every arc of that length, each
+distinct face once.  The search for a given quiddity,
+``dissections_with_quiddity``, walks the same choices in the same order
+by plain recursion, and cuts a branch whose face counts can no longer
+reach the word before it calls it.
 
 ``from_certificate`` rebuilds a dissection by replaying a reduction
 certificate on the boundary and the diagonals alone.  A type-1 step
@@ -45,6 +48,7 @@ every such dissection: the search over w + w, filtered.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
@@ -120,12 +124,15 @@ def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
 class Dissection:
     """A convex n-gon dissected by pairwise non-crossing diagonals.
 
-    Construction checks the diagonals and builds the faces in one
-    ``_sweep``: a walk per face under its chord, which is a diagonal or
-    the edge (0, n - 1).  A walk that passes its chord's end raises for
-    the first crossing pair in sorted order, and a crossing always makes
-    one do so.  ``_faces`` holds the faces sorted; it takes no part in
-    equality, hashing, ``repr`` or ``to_json``.
+    Construction freezes the diagonals, whatever collection they come
+    in, then checks them and builds the faces in one ``_sweep``: a walk
+    per face under its chord, which is a diagonal or the edge (0, n - 1).
+    A walk that passes its chord's end raises for the first crossing
+    pair in sorted order, and a crossing always makes one do so.  The
+    enumerators build their dissections without the constructor, with
+    the faces they chose (``_built``).  ``_faces`` holds the faces
+    sorted; it takes no part in equality, hashing, ``repr`` or
+    ``to_json``.
     """
 
     n: int
@@ -135,6 +142,7 @@ class Dissection:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
+        object.__setattr__(self, "diagonals", frozenset(self.diagonals))
         object.__setattr__(self, "_faces", _sweep(self.n, self.diagonals))
 
     def to_json(self) -> dict:
@@ -269,66 +277,69 @@ def symmetric_dissection(w: Sequence[int]) -> Dissection:
 # -- exhaustive enumeration --------------------------------------------------
 
 
-def _diagonal_lists(n: int) -> Iterator[list[Diagonal]]:
-    """The diagonals of every 3d-dissection of the n-gon, grouped by the
-    face on edge (0, 1), by its size and then its vertices: one closing
-    chord per arc of at least three vertices that this face leaves over,
-    then the diagonals cut inside each arc, in nested product order.
+def _face_lists(n: int) -> Iterator[list[Face]]:
+    """The faces of every 3d-dissection of the n-gon, grouped by the
+    face on edge (0, 1), by its size and then its vertices: that face,
+    then the faces cut inside each arc of at least three vertices that it
+    leaves over, in nested product order.
 
-    An arc of s vertices from cut x takes the lists of the s-gon 0..s-1
-    from ``memo[s]``, built on first use, and maps local label i to
-    x + i; on the arc that closes back to vertex 0, local label s - 1 is
-    0.  Every mapped diagonal is the entry ``pair[i][j]``, the tuple
-    (min(i, j), max(i, j)), so the lists share a few tuples instead of
-    holding one per diagonal.  The product varies the first arc slowest,
-    so that arc is mapped one list at a time and only the others are
-    mapped in full.  The memo, which holds every (n-1)-gon list, is then
-    most of the memory; it grows with the (n-1)-gon count and is filled
-    before the first list is yielded.
+    An arc of s vertices from cut x takes the face lists of the s-gon
+    0..s-1 from ``memo[s]``, built on first use, and maps local label i
+    to x + i; on the arc that closes back to vertex 0, local label s - 1
+    is 0, so it moves to the front of its face.  The memo holds one tuple
+    per sub-dissection, of faces interned in a table per length, and an
+    arc maps each face of that table once, through a dict, so the lists
+    share a few tuples instead of holding one per face.  The product
+    varies the first arc slowest, so that arc is mapped one list at a
+    time and only the others are mapped in full.  The memo, which holds
+    every (n-1)-gon list, is then most of the memory; it grows with the
+    (n-1)-gon count and is filled before the first list is yielded.
     """
-    pair = [[(min(i, j), max(i, j)) for j in range(n)] for i in range(n)]
-    return _lists(n, pair, {})
+    return _lists(n, {})
 
 
-def _lists(m: int, pair: list[list[Diagonal]],
-           memo: dict[int, list[tuple[Diagonal, ...]]]) -> Iterator[list[Diagonal]]:
-    """``_diagonal_lists`` of the m-gon, with the shared ``pair`` table
-    and per-length ``memo``; a module-level recursion, so the memo is
-    freed with the last generator, not by the cyclic collector."""
+def _lists(m: int, memo: dict[int, tuple[list[tuple[Face, ...]], dict[Face, Face]]]
+           ) -> Iterator[list[Face]]:
+    """``_face_lists`` of the m-gon, with the per-length ``memo`` of
+    face lists and intern tables; a module-level recursion, so the memo
+    is freed with the last generator, not by the cyclic collector."""
     for k in range(3, m + 1, 3):
         for rest in itertools.combinations(range(2, m), k - 2):
             ends = (1,) + rest + (m,)
-            chords = []
+            head = [(0,) + ends[:-1]]
             arcs = []
             for x, y in zip(ends, ends[1:]):
                 s = y - x + 1
                 if s < 3:
                     continue
                 if s not in memo:
-                    memo[s] = list(map(tuple, _lists(s, pair, memo)))
-                labels = [*range(x, y), y % m]
-                local = [[pair[a][b] for b in labels] for a in labels]
-                chords.append(local[0][-1])
-                arcs.append((local, memo[s]))
+                    table: dict[Face, Face] = {}
+                    lists = [tuple([table.setdefault(f, f) for f in fs]) for fs in _lists(s, memo)]
+                    memo[s] = lists, table
+                lists, table = memo[s]
+                top = s - 1 if y == m else s  # on the closing arc, s - 1 is vertex 0
+                to = {f: (0, *[x + v for v in f[:-1]]) if f[-1] == top else tuple([x + v for v in f])
+                      for f in table}
+                arcs.append((to, lists))
             if not arcs:
-                yield []
+                yield head
                 continue
-            (local, first), *others = arcs
-            mapped = [[[loc[i][j] for i, j in diags] for diags in lists_s]
-                      for loc, lists_s in others]
-            for diags in first:
-                head = chords + [local[i][j] for i, j in diags]
+            (to, first), *others = arcs
+            mapped = [[[to[f] for f in fs] for fs in lists] for to, lists in others]
+            for fs in first:
+                head_fs = head + [to[f] for f in fs]
                 for parts in itertools.product(*mapped):
-                    out = head[:]
+                    out = head_fs[:]
                     for part in parts:
                         out.extend(part)
                     yield out
 
 
-def _quiddity_lists(word: Word) -> list[list[Diagonal]]:
-    """The diagonals of every 3d-dissection of the len(word)-gon whose
-    quiddity is ``word``, in the order ``_diagonal_lists`` yields them,
-    without its per-length lists, gathered in one list by recursion.
+def _quiddity_lists(word: Word) -> list[list[Face]]:
+    """The faces of every 3d-dissection of the len(word)-gon whose
+    quiddity is ``word``, in the order ``_face_lists`` yields the
+    dissections, without its per-length lists, gathered in one list by
+    recursion.
 
     Pending arcs are split one at a time, the latest first, and each
     face grows through its vertices in increasing order, so the choices
@@ -339,9 +350,10 @@ def _quiddity_lists(word: Word) -> list[list[Diagonal]]:
     rem[v] >= pend[v], with rem[v] == 0 once pend[v] == 0.  A face
     vertex's counts are settled as soon as the face's next vertex is
     chosen, and tested then, before the call; the vertices the face
-    skips stay inside one arc and keep theirs.
+    skips stay inside one arc and keep theirs.  A face is pushed, its
+    vertices sorted, once its last vertex is chosen and both cuts pass.
     """
-    out: list[list[Diagonal]] = []
+    out: list[list[Face]] = []
     _split((list(word), [1] * len(word), [tuple(range(len(word)))], [], out))
     return out
 
@@ -350,7 +362,7 @@ def _grow(state: tuple, poly: tuple[int, ...], cuts: list[int], k: int) -> None:
     """Choose the next vertex of the face of size k on poly's edge (0, 1);
     ``cuts``: its first vertices, as indices into poly.  A face vertex
     needs a face less and swaps poly's arc for the arcs next to it."""
-    rem, pend, pending, chords, _ = state
+    rem, pend, pending, found, _ = state
     m, a = len(poly), cuts[-1]
     v = poly[a]
     r0, p0 = rem[v], pend[v]
@@ -365,10 +377,10 @@ def _grow(state: tuple, poly: tuple[int, ...], cuts: list[int], k: int) -> None:
             arcs = [poly[x:y + 1] if y < m else poly[x:] + poly[:1]
                     for x, y in zip(ends, ends[1:]) if y - x >= 2]
             pending.extend(reversed(arcs))
-            chords.extend((c[0], c[-1]) if c[0] < c[-1] else (c[-1], c[0]) for c in arcs)
+            found.append(tuple(sorted([poly[c] for c in cuts])))
             _split(state)
             del pending[len(pending) - len(arcs):]
-            del chords[len(chords) - len(arcs):]
+            found.pop()
             rem[v], pend[v], rem[u], pend[u] = r0, p0, ru + 1, pu + 1 - after
         return
     cuts.append(a + 1)
@@ -387,7 +399,7 @@ def _grow(state: tuple, poly: tuple[int, ...], cuts: list[int], k: int) -> None:
 
 def _split(state: tuple) -> None:
     """Dissect the latest pending arc of the search ``state``, the lists
-    (rem, pend, pending, chords, out); module-level functions leave no
+    (rem, pend, pending, faces, out); module-level functions leave no
     reference cycle for the collector."""
     pending = state[2]
     if not pending:
@@ -406,16 +418,46 @@ def _check_polygon(n: int, budget: Optional[int] = None) -> None:
         raise ValueError("no polygon with fewer than 3 vertices")
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> list[list[Diagonal]]:
+    """The table pair[i][j] = (i, j) for the n-gon, built once per n: a
+    search for one word at n = 10 takes about 0.1 ms, and building the
+    table about 0.01 ms."""
+    return [[(i, j) for j in range(n)] for i in range(n)]
+
+
+def _built(n: int, face_lists: Iterable[list[Face]]) -> Iterator[Dissection]:
+    """The dissections of the n-gon with these faces, which an enumerator
+    chose, so no ``_sweep`` checks them again; each list is sorted in
+    place and kept as the faces.
+
+    Every diagonal is the chord, from least vertex to greatest, of
+    exactly one face, and only the face whose chord is the edge
+    (0, n - 1) has none.  The chords are entries of the shared ``pair``
+    table, so the dissections share a few tuples instead of one per
+    diagonal.
+    """
+    pair = _pairs(n)
+    last = n - 1
+    new, put = object.__new__, object.__setattr__
+    for fs in face_lists:
+        fs.sort()
+        d = new(Dissection)
+        put(d, "n", n)
+        put(d, "diagonals", frozenset([pair[f[0]][f[-1]] for f in fs if f[-1] - f[0] != last]))
+        put(d, "_faces", tuple(fs))
+        yield d
+
+
 def iter_dissections(n: int) -> Iterator[Dissection]:
     """Generate all 3d-dissections of the labeled n-gon, deterministically.
 
     Memory grows with the number of dissections of the (n-1)-gon, which
     are all held from the first item on (a tracemalloc peak of about
-    22 MiB at n = 14).
+    25 MiB at n = 14).
     """
     _check_polygon(n)
-    for diagonals in _diagonal_lists(n):
-        yield Dissection(n, frozenset(diagonals))
+    yield from _built(n, _face_lists(n))
 
 
 def dissections_with_quiddity(w: Sequence[int], budget: Optional[int] = None) -> list[Dissection]:
@@ -423,7 +465,7 @@ def dissections_with_quiddity(w: Sequence[int], budget: Optional[int] = None) ->
     exactly (not up to rotation), in enumeration order."""
     word = check_word(w)
     _check_polygon(len(word), budget)
-    return [Dissection(len(word), frozenset(diagonals)) for diagonals in _quiddity_lists(word)]
+    return list(_built(len(word), _quiddity_lists(word)))
 
 
 def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> list[Dissection]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiddity import dissection as dissection_module
 from quiddity import limits, surgery
 from quiddity.cli import main
 from quiddity.dissection import (
@@ -80,6 +81,18 @@ def test_make_dissection_validation():
         _make_dissection(6, [(0, 1)])  # boundary edge
     with pytest.raises(ValueError):
         _make_dissection(6, [(0, 7)])
+
+
+def test_constructor_freezes_any_diagonal_collection():
+    # a list, a set or a list with repeats names the same dissection as
+    # its frozenset: equal, hashable alike and cut into the same faces
+    expected = Dissection(6, frozenset({(0, 2), (2, 5)}))
+    for diagonals in ([(0, 2), (2, 5)], {(0, 2), (2, 5)}, [(2, 5), (0, 2), (2, 5), (0, 2)]):
+        d = Dissection(6, diagonals)
+        assert d == expected
+        assert hash(d) == hash(expected)
+        assert faces(d) == faces(expected) == [(0, 1, 2), (0, 2, 5), (2, 3, 4, 5)]
+    assert faces(Dissection(4, [(0, 2), (0, 2)])) == [(0, 1, 2), (0, 2, 3)]
 
 
 def test_faces_of_fan():
@@ -303,6 +316,26 @@ def test_symmetric_dissection_classifies_once(monkeypatch):
     assert sorted(calls) == ["replay", "solution_class"]
 
 
+def test_enumerators_hand_over_their_faces(monkeypatch):
+    # both enumerators keep the faces they chose, so neither sweeps; a
+    # dissection replayed from a certificate is swept once, by the
+    # constructor
+    calls = []
+    sweep = dissection_module._sweep
+
+    def counted(n, diagonals):
+        calls.append(n)
+        return sweep(n, diagonals)
+
+    monkeypatch.setattr(dissection_module, "_sweep", counted)
+    assert len(list(iter_dissections(8))) == 168
+    assert len(dissections_with_quiddity((2, 1) * 6)) == 5
+    assert calls == []
+    for w in ((1, 3, 1, 2, 2), (5, 2, 2, 2, 1), (2, 1, 2, 1)):
+        from_certificate(reduce_word(w))
+    assert calls == [5, 10, 4]
+
+
 def test_half_quiddity_tetradecagon():
     d = _make_dissection(14, [(0, 7), (0, 8), (1, 7), (3, 5), (10, 12)])
     assert is_centrally_symmetric(d)
@@ -380,9 +413,9 @@ def test_conway_coxeter_triangulations():
 
 
 def test_enumeration_memory_stays_bounded():
-    # the per-length lists share the tuples of one pair table: a peak of
-    # about 1.3 MiB at n = 12, against 4.5 MiB with a fresh tuple per
-    # mapped diagonal
+    # each arc maps the interned faces of its length once, so the lists
+    # share their face tuples: a peak of about 1.7 MiB at n = 12, against
+    # 2.8 MiB with a fresh tuple per mapped face
     tracemalloc.start()
     try:
         assert sum(1 for _ in iter_dissections(12)) == 30083
@@ -593,11 +626,15 @@ def test_constructor_matches_reference_on_random_sets():
 
 
 def test_faces_match_walk_on_every_11gon_dissection():
-    count = 0
-    for d in iter_dissections(11):
-        assert faces(d) == _walked_faces(d.n, d.diagonals)
-        count += 1
-    assert count == 7997
+    # and on every 12-gon dissection; the enumerator's faces are also the
+    # ones the constructor sweeps from the diagonals
+    for n, expected in ((11, 7997), (12, 30083)):
+        count = 0
+        for d in iter_dissections(n):
+            assert faces(d) == _walked_faces(d.n, d.diagonals)
+            assert faces(d) == faces(Dissection(d.n, d.diagonals))
+            count += 1
+        assert count == expected
 
 
 def _filtered(n, key):
@@ -617,6 +654,8 @@ def test_search_equals_filter():
         for problem in ("I", "II"):
             for w in generative_enumerate(problem, n).words:
                 assert dissections_with_quiddity(w) == groups[w]
+                assert all(faces(d) == faces(Dissection(d.n, d.diagonals))
+                           for d in dissections_with_quiddity(w))
     for n in range(2, 7):
         by_half = _filtered(2 * n, lambda d: quiddity(d)[:n] if is_centrally_symmetric(d) else None)
         for w in generative_enumerate("III", n).words:

@@ -29,7 +29,7 @@ def test_env_budget_never_lowers_a_default(monkeypatch):
     # both searches at n = 14 are within their default ceiling; only the
     # budget checks run, the searches themselves are stubbed out
     monkeypatch.setattr(search, "_closure", lambda problem, n: {})
-    monkeypatch.setattr(dissection, "_diagonal_lists", lambda n: iter(()))
+    monkeypatch.setattr(dissection, "_face_lists", lambda n: iter(()))
     assert len(search.generative_enumerate("I", 14)) == 0
     assert list(dissection.iter_dissections(14)) == []
     # the searches without a budget argument reach past their ceilings
