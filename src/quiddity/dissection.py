@@ -18,13 +18,15 @@ every crossing makes some walk pass its end (``_sweep`` says why).
 swept like any caller's.
 
 The two enumerators choose every face themselves, so they hand each
-dissection over with its faces, and its diagonals are those faces'
-chords; nothing is swept again.  The enumerator chooses the face on edge
-(0, 1) and then dissects each arc of the boundary that this face leaves
-over.  An arc's dissections depend only on its length, so each length's
-face lists are built once per ``iter_dissections`` call, in the labels
-0..s-1 of the s-gon, and mapped onto every arc of that length, each
-distinct face once.  The search for a given quiddity,
+dissection over with its faces alone, and nothing is swept again.  Its
+diagonals are those faces' chords, built when they are first read, so a
+reader of the faces alone, such as ``quiddity`` or a count, never builds
+them.  The enumerator chooses the face on edge (0, 1) and then dissects
+each arc of the boundary that this face leaves over.  An arc's
+dissections depend only on its length, so each length's face lists are
+built once per ``iter_dissections`` call, in the labels 0..s-1 of the
+s-gon, and mapped onto every arc of that length, each distinct face
+once.  The search for a given quiddity,
 ``dissections_with_quiddity``, walks the same choices in the same order
 by plain recursion, and cuts a branch whose face counts can no longer
 reach the word before it calls it.
@@ -69,7 +71,8 @@ Face = tuple[int, ...]
 
 def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
     """The sorted faces of the n-gon cut by the diagonals, each with its
-    vertices in increasing order; ValueError if a diagonal is invalid.
+    vertices in increasing order; ValueError, naming a diagonal, if one
+    is not two integers or is invalid.
 
     One pass over the sorted diagonals checks each and fills hop[v], the
     far end of v's outermost diagonal, or v + 1 when v has none.  Every
@@ -88,10 +91,19 @@ def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
     cannot hop over b, since that hop would be a shorter such diagonal or
     would pass y, so it reaches b, and hop[b] >= d passes y.
     """
-    diags = sorted(diagonals)
+    try:
+        diags = sorted(diagonals)
+    except TypeError:  # incomparable entries, one of which the loop below names
+        diags = sorted(diagonals, key=repr)
     last = n - 1
     hop = list(range(1, n + 1))
-    for i, j in diags:
+    for d in diags:
+        try:
+            i, j = d
+        except (TypeError, ValueError):  # not a pair
+            i = j = None
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"diagonal {d!r} is not two integers")
         if not 0 <= i < j < n:
             raise ValueError(f"diagonal {(i, j)} must satisfy 0 <= i < j < n")
         if j - i == 1 or j - i == last:
@@ -120,30 +132,53 @@ def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
     return tuple(out)
 
 
+class _Chords:
+    """The ``diagonals`` of a dissection that an enumerator built from
+    its faces: the faces' chords, from the shared ``_pairs`` table, built
+    on the first read and then kept on the instance, which shadows this
+    non-data descriptor from then on.  Read on the class it raises
+    AttributeError, so the dataclass sees no default."""
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            raise AttributeError("diagonals")
+        n = d.n
+        pair, last = _pairs(n), n - 1
+        diagonals = frozenset([pair[f[0]][f[-1]] for f in d._faces if f[-1] - f[0] != last])
+        object.__setattr__(d, "diagonals", diagonals)
+        return diagonals
+
+
 @dataclass(frozen=True)
 class Dissection:
     """A convex n-gon dissected by pairwise non-crossing diagonals.
 
-    Construction freezes the diagonals, whatever collection they come
-    in, then checks them and builds the faces in one ``_sweep``: a walk
-    per face under its chord, which is a diagonal or the edge (0, n - 1).
-    A walk that passes its chord's end raises for the first crossing
-    pair in sorted order, and a crossing always makes one do so.  The
-    enumerators build their dissections without the constructor, with
-    the faces they chose (``_built``).  ``_faces`` holds the faces
-    sorted; it takes no part in equality, hashing, ``repr`` or
-    ``to_json``.
+    Construction freezes the diagonals, whatever collection of pairs they
+    come in: a set or frozenset as it is, which keeps its order, any other
+    as tuples, so a ``to_json`` document reads back.  It then checks them
+    and builds the faces in one ``_sweep``: a walk per face under its
+    chord, which is a diagonal or the edge (0, n - 1).  A walk that
+    passes its chord's end raises for the first crossing pair in sorted
+    order, and a crossing always makes one do so.  The enumerators build
+    their dissections without the constructor, with the faces they chose
+    and no diagonals (``_built``); such a dissection builds its diagonals
+    from its faces when they are first read (``_Chords``).  ``_faces``
+    holds the faces sorted; it takes no part in equality, hashing,
+    ``repr`` or ``to_json``.
     """
 
     n: int
-    diagonals: frozenset[Diagonal]
+    diagonals: frozenset[Diagonal] = _Chords()
     _faces: tuple[Face, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        object.__setattr__(self, "diagonals", frozenset(self.diagonals))
-        object.__setattr__(self, "_faces", _sweep(self.n, self.diagonals))
+        diagonals = self.diagonals
+        frozen = frozenset(diagonals if isinstance(diagonals, (set, frozenset))
+                           else map(tuple, diagonals))
+        object.__setattr__(self, "diagonals", frozen)
+        object.__setattr__(self, "_faces", _sweep(self.n, frozen))
 
     def to_json(self) -> dict:
         return {"n": self.n, "diagonals": [list(d) for d in sorted(self.diagonals)]}
@@ -433,18 +468,15 @@ def _built(n: int, face_lists: Iterable[list[Face]]) -> Iterator[Dissection]:
 
     Every diagonal is the chord, from least vertex to greatest, of
     exactly one face, and only the face whose chord is the edge
-    (0, n - 1) has none.  The chords are entries of the shared ``pair``
-    table, so the dissections share a few tuples instead of one per
-    diagonal.
+    (0, n - 1) has none.  So the diagonals are not built here: a reader
+    that uses only the faces never pays for them, and ``_Chords`` builds
+    them on the first read, as entries of the shared ``_pairs`` table.
     """
-    pair = _pairs(n)
-    last = n - 1
     new, put = object.__new__, object.__setattr__
     for fs in face_lists:
         fs.sort()
         d = new(Dissection)
         put(d, "n", n)
-        put(d, "diagonals", frozenset([pair[f[0]][f[-1]] for f in fs if f[-1] - f[0] != last]))
         put(d, "_faces", tuple(fs))
         yield d
 
@@ -454,7 +486,8 @@ def iter_dissections(n: int) -> Iterator[Dissection]:
 
     Memory grows with the number of dissections of the (n-1)-gon, which
     are all held from the first item on (a tracemalloc peak of about
-    25 MiB at n = 14).
+    25 MiB at n = 14).  Each dissection carries its faces; its diagonals
+    are built when they are first read.
     """
     _check_polygon(n)
     yield from _built(n, _face_lists(n))

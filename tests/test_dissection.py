@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import gc
 import itertools
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -336,6 +339,50 @@ def test_enumerators_hand_over_their_faces(monkeypatch):
     assert calls == [5, 10, 4]
 
 
+def test_enumerated_dissections_build_diagonals_on_first_read():
+    # a reader of the faces alone never builds the diagonals, and a read
+    # keeps them on the instance
+    found = list(iter_dissections(9)) + dissections_with_quiddity((2, 1) * 6)
+    assert len(found) == 595 + 5
+    for d in found:
+        faces(d)
+        quiddity(d)
+        profile(d)
+        even_face_parity(d)
+        is_3d_dissection(d)
+        assert "diagonals" not in vars(d)
+        diagonals = d.diagonals
+        assert vars(d)["diagonals"] is diagonals is d.diagonals
+
+
+def test_unread_dissection_behaves_like_the_constructors():
+    # an enumerated dissection whose diagonals were never read compares,
+    # hashes, prints and serialises like the constructor's from the same
+    # diagonals, and survives pickle and copy
+    for n, k in ((9, 0), (9, 200), (12, 30082)):
+        twin = next(itertools.islice(iter_dissections(n), k, None))
+        swept = Dissection(n, twin.diagonals)
+        for make in (lambda d: d, lambda d: pickle.loads(pickle.dumps(d)), copy.copy):
+            d = next(itertools.islice(iter_dissections(n), k, None))
+            unread = make(d)
+            assert "diagonals" not in vars(d)
+            assert "diagonals" not in vars(unread)
+            assert hash(unread) == hash(swept)
+            assert repr(unread) == repr(swept)
+            assert unread.to_json() == swept.to_json()
+            assert unread == swept and faces(unread) == faces(swept)
+    with pytest.raises(TypeError):
+        Dissection(5)
+    with pytest.raises(AttributeError):
+        Dissection.diagonals
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        swept.diagonals = frozenset()
+    unread = next(iter_dissections(7))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        unread.diagonals = frozenset()
+    assert "diagonals" not in vars(unread)
+
+
 def test_half_quiddity_tetradecagon():
     d = _make_dissection(14, [(0, 7), (0, 8), (1, 7), (3, 5), (10, 12)])
     assert is_centrally_symmetric(d)
@@ -353,6 +400,18 @@ def test_json_round_trip():
     d = _make_dissection(7, [(0, 2), (2, 6)])
     doc = json.loads(json.dumps(d.to_json()))
     assert Dissection(doc["n"], frozenset(map(tuple, doc["diagonals"]))) == d
+
+
+def test_constructor_reads_json_back_and_names_malformed_diagonals():
+    # a to_json document goes straight back into the constructor, lists
+    # and all; a diagonal that is not two integers is named
+    for d in iter_dissections(8):
+        doc = json.loads(json.dumps(d.to_json()))
+        assert Dissection(doc["n"], doc["diagonals"]) == d
+    for bad in ((0, 2, 3), (0.5, 2), ("0", 2), (0,)):
+        for diagonals in ([bad], [bad, (2, 4)], [[1, 3], list(bad)]):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                Dissection(6, diagonals)
 
 
 def test_render_smoke():
@@ -415,7 +474,9 @@ def test_conway_coxeter_triangulations():
 def test_enumeration_memory_stays_bounded():
     # each arc maps the interned faces of its length once, so the lists
     # share their face tuples: a peak of about 1.7 MiB at n = 12, against
-    # 2.8 MiB with a fresh tuple per mapped face
+    # 2.8 MiB with a fresh tuple per mapped face.  A count never reads the
+    # diagonals, so none is built; listing every dissection and reading
+    # its diagonals peaks at about 27.5 MiB
     tracemalloc.start()
     try:
         assert sum(1 for _ in iter_dissections(12)) == 30083
