@@ -192,7 +192,10 @@ def faces(d: Dissection) -> list[Face]:
 
 def is_3d_dissection(d: Dissection) -> bool:
     """True iff every face size is a multiple of 3."""
-    return all(len(f) % 3 == 0 for f in d._faces)
+    for f in d._faces:
+        if len(f) % 3:
+            return False
+    return True
 
 
 def profile(d: Dissection) -> tuple[int, ...]:
@@ -201,13 +204,15 @@ def profile(d: Dissection) -> tuple[int, ...]:
 
 
 def quiddity(d: Dissection) -> Word:
-    """Number of faces at each vertex, in vertex order from vertex 0."""
+    """Number of faces at each vertex, in vertex order from vertex 0: one
+    more than its diagonals, each the chord (f[0], f[-1]) of one face f."""
     if not is_3d_dissection(d):
         raise ValueError("quiddity is only defined for 3d-dissections")
-    counts = [0] * d.n
+    counts = [1] * d.n
+    counts[0] = counts[-1] = 0  # the face on edge (0, n - 1) adds their 1
     for f in d._faces:
-        for v in f:
-            counts[v] += 1
+        counts[f[0]] += 1
+        counts[f[-1]] += 1
     return tuple(counts)
 
 
@@ -216,8 +221,11 @@ def even_face_parity(d: Dissection) -> str:
     solves Problem I, "even" means Problem II."""
     if not is_3d_dissection(d):
         raise ValueError("parity is only defined for 3d-dissections")
-    k = sum(1 for f in d._faces if len(f) % 2 == 0)
-    return "odd" if k % 2 == 1 else "even"
+    k = 0
+    for f in d._faces:
+        if not len(f) % 2:
+            k += 1
+    return "odd" if k % 2 else "even"
 
 
 def is_centrally_symmetric(d: Dissection) -> bool:
@@ -360,6 +368,10 @@ def _lists(m: int, memo: dict[int, tuple[list[tuple[Face, ...]], dict[Face, Face
                 yield head
                 continue
             (to, first), *others = arcs
+            if not others:
+                for fs in first:
+                    yield head + [to[f] for f in fs]
+                continue
             mapped = [[[to[f] for f in fs] for fs in lists] for to, lists in others]
             for fs in first:
                 head_fs = head + [to[f] for f in fs]

@@ -9,9 +9,9 @@ entry of the word is the *leftmost* factor.  All arithmetic is exact
 (Python integers), so there is no overflow anywhere.
 
 ``word_product`` folds the factors one ``Mat2`` product at a time; it is
-the reference.  ``product_from_continuants`` reads the same matrix from
-four continuants of the word, and classification (``surgery.solution_class``)
-uses it.
+the reference.  ``product_from_continuants`` advances the four
+continuants that make up the same matrix together, in one scalar pass
+over the word, and classification (``surgery.solution_class``) uses it.
 """
 
 from __future__ import annotations
@@ -145,30 +145,28 @@ def continuant(xs: Iterable[int]) -> int:
 
 
 def product_from_continuants(w: Sequence[int]) -> Mat2:
-    """Word product assembled from four continuants:
+    """Word product as its four continuants, advanced together from Id in
+    one pass, since E(x) times (a, b, c, d) is (x*a - c, x*b - d, a, b):
 
         M(a_1..a_n) = [[K(a_1..a_n), -K(a_2..a_n)],
                        [K(a_1..a_{n-1}), -K(a_2..a_{n-1})]].
-
-    For a one-entry word the lower-right continuant is K_{-1} = 0.
     """
-    word = check_word(w)
-    inner = continuant(word[1:-1]) if len(word) > 1 else 0
-    return Mat2(continuant(word), -continuant(word[1:]), continuant(word[:-1]), -inner)
+    a, b, c, d = 1, 0, 0, 1
+    for x in check_word(w):
+        a, b, c, d = x * a - c, x * b - d, a, b
+    return Mat2(a, b, c, d)
 
 
 def classify_matrix(m: Mat2) -> SolutionClass:
     """Sort a determinant-1 matrix into Id / -Id / trace-zero / other.
 
-    Trace zero is equivalent to m*m == -Id.  The first three cases are
-    mutually exclusive for determinant 1.
-    """
-    if m.det() != 1:
-        raise ValueError(f"expected determinant 1, got {m.det()}")
-    if m == IDENTITY:
-        return SolutionClass.PROBLEM_I
-    if m == NEG_IDENTITY:
-        return SolutionClass.PROBLEM_II
-    if m.trace() == 0:
+    Trace zero is equivalent to m*m == -Id.  With determinant 1,
+    b == c == 0 means a == d == +-1, and the three cases are exclusive."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    if a * d - b * c != 1:
+        raise ValueError(f"expected determinant 1, got {a * d - b * c}")
+    if b == c == 0:
+        return SolutionClass.PROBLEM_I if a == 1 else SolutionClass.PROBLEM_II
+    if a + d == 0:
         return SolutionClass.PROBLEM_III
     return SolutionClass.NOT_A_SOLUTION

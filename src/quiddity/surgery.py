@@ -21,9 +21,9 @@ stored, so certificate replay reproduces the original tuple exactly,
 not merely up to rotation.  Every forward step is one ``_splice`` on a
 checked word; ``replay`` checks only the base.
 
-``solution_class`` reads the word product from its four continuants
-(``matrices.product_from_continuants``); ``matrices.word_product``, the
-fold of ``Mat2`` products, stays the reference it is tested against.
+``solution_class`` reads the word product in one scalar pass over its
+four continuants (``matrices.product_from_continuants``); ``word_product``,
+the fold of ``Mat2`` products, stays the reference it is tested against.
 """
 
 from __future__ import annotations

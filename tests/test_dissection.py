@@ -107,10 +107,15 @@ def test_faces_of_fan():
 
 
 def test_quiddity_needs_3d():
-    d = _make_dissection(6, [(0, 3)])
-    assert not is_3d_dissection(d)
-    with pytest.raises(ValueError):
-        quiddity(d)
+    # (0, 3) cuts two quadrilaterals; (0, 2) cuts a triangle, then the pentagon
+    # (0, 2, 3, 4, 5), so the 3d check must look past the first face
+    for diagonals in ([(0, 3)], [(0, 2)]):
+        d = _make_dissection(6, diagonals)
+        assert not is_3d_dissection(d)
+        with pytest.raises(ValueError):
+            quiddity(d)
+        with pytest.raises(ValueError):
+            even_face_parity(d)
 
 
 def test_hexagon_count():
@@ -584,6 +589,11 @@ def _walked_faces(n, diagonals):
     return sorted(out)
 
 
+def _incidence(n, fs):
+    """How many of the faces fs hold each vertex of the n-gon."""
+    return tuple(sum(v in f for f in fs) for v in range(n))
+
+
 def test_quiddities_are_exactly_the_solutions():
     # the main theorem both ways: every quiddity solves I or II, and every
     # solution is the quiddity of some 3d-dissection
@@ -596,6 +606,7 @@ def test_quiddities_are_exactly_the_solutions():
             assert (hash(fresh), repr(fresh), fresh.to_json()) == (hash(d), repr(d), d.to_json())
             assert faces(fresh) == faces(d)
             assert faces(d) == _walked_faces(d.n, d.diagonals)
+            assert quiddity(d) == quiddity(fresh) == _incidence(d.n, _walked_faces(d.n, d.diagonals))
         solutions = set(generative_enumerate("I", n).words) | set(generative_enumerate("II", n).words)
         assert quiddities == solutions
 
@@ -607,6 +618,7 @@ def test_certificate_faces_match_walk():
                 d = from_certificate(reduce_word(w))
                 assert faces(d) == faces(_make_dissection(d.n, d.diagonals))
                 assert faces(d) == _walked_faces(d.n, d.diagonals)
+                assert quiddity(d) == _incidence(d.n, _walked_faces(d.n, d.diagonals)) == w
 
 
 def test_faces_are_fresh_lists():
