@@ -11,7 +11,8 @@ entry of the word is the *leftmost* factor.  All arithmetic is exact
 ``word_product`` folds the factors one ``Mat2`` product at a time; it is
 the reference.  ``product_from_continuants`` advances the four
 continuants that make up the same matrix together, in one scalar pass
-over the word, and classification (``surgery.solution_class``) uses it.
+over the word.  Classification (``surgery.solution_class``) reads those
+four integers and builds no ``Mat2``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class Mat2:
 
 IDENTITY = Mat2(1, 0, 0, 1)
 NEG_IDENTITY = Mat2(-1, 0, 0, -1)
+_E = tuple(Mat2(a, -1, 1, 0) for a in range(64))
 
 
 class SolutionClass(enum.Enum):
@@ -118,7 +120,11 @@ def canonical_dihedral(w: Sequence[int]) -> Word:
 
 
 def elementary(a: int) -> Mat2:
-    """E(a) = [[a, -1], [1, 0]]; E(0) is the generator S."""
+    """E(a) = [[a, -1], [1, 0]]; E(0) is the generator S.  E(0)..E(63) are
+    built once and shared (a ``Mat2`` is frozen); any other argument, such
+    as -1, 64, True or 1.0, gets a new matrix."""
+    if type(a) is int and 0 <= a < 64:
+        return _E[a]
     return Mat2(a, -1, 1, 0)
 
 
@@ -144,25 +150,30 @@ def continuant(xs: Iterable[int]) -> int:
     return cur
 
 
+def _continuants(w: Sequence[int]) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of M(w), advanced together from Id in one
+    pass over the checked word: E(x) times them is (x*a - c, x*b - d, a, b)."""
+    a, b, c, d = 1, 0, 0, 1
+    for x in check_word(w):
+        a, b, c, d = x * a - c, x * b - d, a, b
+    return a, b, c, d
+
+
 def product_from_continuants(w: Sequence[int]) -> Mat2:
-    """Word product as its four continuants, advanced together from Id in
-    one pass, since E(x) times (a, b, c, d) is (x*a - c, x*b - d, a, b):
+    """Word product from its four continuants, advanced in one scalar pass:
 
         M(a_1..a_n) = [[K(a_1..a_n), -K(a_2..a_n)],
                        [K(a_1..a_{n-1}), -K(a_2..a_{n-1})]].
     """
-    a, b, c, d = 1, 0, 0, 1
-    for x in check_word(w):
-        a, b, c, d = x * a - c, x * b - d, a, b
-    return Mat2(a, b, c, d)
+    return Mat2(*_continuants(w))
 
 
-def classify_matrix(m: Mat2) -> SolutionClass:
-    """Sort a determinant-1 matrix into Id / -Id / trace-zero / other.
+def _classify(a: int, b: int, c: int, d: int) -> SolutionClass:
+    """Sort the determinant-1 matrix [[a, b], [c, d]] into Id / -Id /
+    trace-zero / other.
 
-    Trace zero is equivalent to m*m == -Id.  With determinant 1,
+    Trace zero is equivalent to M*M == -Id.  With determinant 1,
     b == c == 0 means a == d == +-1, and the three cases are exclusive."""
-    a, b, c, d = m.a, m.b, m.c, m.d
     if a * d - b * c != 1:
         raise ValueError(f"expected determinant 1, got {a * d - b * c}")
     if b == c == 0:
@@ -170,3 +181,8 @@ def classify_matrix(m: Mat2) -> SolutionClass:
     if a + d == 0:
         return SolutionClass.PROBLEM_III
     return SolutionClass.NOT_A_SOLUTION
+
+
+def classify_matrix(m: Mat2) -> SolutionClass:
+    """Sort a determinant-1 ``Mat2`` into Id / -Id / trace-zero / other."""
+    return _classify(m.a, m.b, m.c, m.d)

@@ -190,28 +190,31 @@ def _closure(problem: SolutionClass, n_max: int) -> dict[int, dict[Word, int]]:
     wrap), so each representative is operated on once.  For the Id/-Id
     problems the parity selects the problem (odd -> Id, even -> -Id);
     parity is a word invariant, which the closure asserts as it
-    deduplicates.
+    deduplicates.  Every level is made up front, and each parent's
+    children, type 1 at every position and then type 2 at every position
+    and split, go straight into the level one or three longer.
     """
     if problem is SolutionClass.PROBLEM_III:
-        base = 2
-        levels = {base: {canonical_rotation(b): 0 for b in BASES_CENTRAL}}
+        base, bases = 2, {canonical_rotation(b): 0 for b in BASES_CENTRAL}
     else:
-        base = 3
-        levels = {base: {BASE_TRIANGLE: 0}}
+        base, bases = 3, {BASE_TRIANGLE: 0}
+    levels = {length: {} for length in range(base, n_max + 1)}
+    levels[base] = bases
     for length in range(base, n_max):
-        for word, parity in levels.get(length, {}).items():
-            children = [(apply_type1(word, i), parity) for i in range(length)]
-            if length + 3 <= n_max:
-                children += [
-                    (apply_type2(word, i, (a1, word[i] + 1 - a1)), parity ^ 1)
-                    for i in range(length)
-                    for a1 in range(1, word[i] + 1)
-                ]
-            for child, child_parity in children:
-                child = canonical_rotation(child)
-                known = levels.setdefault(len(child), {}).setdefault(child, child_parity)
-                if known != child_parity:
+        up1, up3 = levels[length + 1], levels.get(length + 3)
+        for word, parity in levels[length].items():
+            for i in range(length):
+                child = canonical_rotation(apply_type1(word, i))
+                if up1.setdefault(child, parity) != parity:
                     raise AssertionError(f"parity clash for {child}")
+            if up3 is None:
+                continue
+            flipped = parity ^ 1
+            for i in range(length):
+                for a1 in range(1, word[i] + 1):
+                    child = canonical_rotation(apply_type2(word, i, (a1, word[i] + 1 - a1)))
+                    if up3.setdefault(child, flipped) != flipped:
+                        raise AssertionError(f"parity clash for {child}")
     return levels
 
 

@@ -22,8 +22,9 @@ not merely up to rotation.  Every forward step is one ``_splice`` on a
 checked word; ``replay`` checks only the base.
 
 ``solution_class`` reads the word product in one scalar pass over its
-four continuants (``matrices.product_from_continuants``); ``word_product``,
-the fold of ``Mat2`` products, stays the reference it is tested against.
+four continuants and classifies those four integers, with no ``Mat2``;
+``word_product``, the fold of ``Mat2`` products, stays the reference it
+is tested against.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .matrices import (
-    SolutionClass,
-    Word,
-    check_word,
-    classify_matrix,
-    product_from_continuants,
-    rotate,
-)
+from .matrices import SolutionClass, Word, _classify, _continuants, check_word, rotate
 
 BASES_CENTRAL = ((1, 2), (2, 1))
 BASE_TRIANGLE = (1, 1, 1)
@@ -66,8 +60,8 @@ class SurgeryStep:
 
 def solution_class(w: Sequence[int]) -> SolutionClass:
     """Which of the three equations (if any) the word solves, read from
-    the four continuants of the word (no ``Mat2`` product)."""
-    return classify_matrix(product_from_continuants(w))
+    the four continuants of the word as plain integers (no ``Mat2``)."""
+    return _classify(*_continuants(w))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,12 @@ def test_mat2_basics():
 def test_elementary():
     assert elementary(3) == Mat2(3, -1, 1, 0)
     assert elementary(0).det() == 1
+    for a in [*range(-3, 70), 10**20]:
+        assert elementary(a) == Mat2(a, -1, 1, 0), a
+    assert all(elementary(a) is elementary(a) for a in range(64))
+    # other numbers keep their own type, as Mat2 itself does
+    assert repr(elementary(True)) == repr(Mat2(True, -1, 1, 0))
+    assert repr(elementary(1.0)) == repr(Mat2(1.0, -1, 1, 0))
 
 
 def test_word_product_order():

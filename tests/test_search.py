@@ -222,6 +222,46 @@ def test_count_table_counts_by_period_at_cross_checked_lengths(monkeypatch):
         count_table("II", 7, cross_check_up_to=7)
 
 
+def test_closure_and_oracle_call_counts(monkeypatch):
+    # the benchmark's traced counts read these calls: search.surgeries
+    # (type 1 plus type 2), search.canonical_rotation.calls and
+    # search.brute_nodes over the count-tables workload's three tables
+    counts = dict.fromkeys(("apply_type1", "apply_type2", "canonical_rotation", "elementary"), 0)
+
+    def counted(name):
+        original = getattr(quiddity.search, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(quiddity.search, name, counted(name))
+    count_table("I", 11, cross_check_up_to=9)
+    count_table("II", 11, cross_check_up_to=9)
+    count_table("III", 9, cross_check_up_to=7)
+    assert counts == {"apply_type1": 12035, "apply_type2": 2073,
+                      "canonical_rotation": 14110, "elementary": 11188}
+
+
+def test_closure_asserts_parity(monkeypatch):
+    # a word reached by an odd and by an even number of splits would break
+    # the theorem; a canonical form that merges every word of a length
+    # forces that clash, at a type-1 child (its level already holds a
+    # type-2 child)
+    monkeypatch.setattr(quiddity.search, "canonical_rotation", lambda w: (1,) * len(w))
+    for problem in ("II", "III"):
+        with pytest.raises(AssertionError, match="parity clash"):
+            count_table(problem, 7)
+    # splits that all give the word of 1s force it at a type-2 child, which
+    # no type-1 child can be: level 6 holds words of both parities
+    monkeypatch.undo()
+    monkeypatch.setattr(quiddity.search, "apply_type2", lambda w, i, split: (1,) * (len(w) + 3))
+    with pytest.raises(AssertionError, match="parity clash"):
+        count_table("II", 9)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         brute_force_enumerate("II", 13)
