@@ -40,6 +40,8 @@ class Frieze:
             return 0
         if r == -2:
             return -1
+        if r < -2:
+            raise IndexError(f"row {r} is above the frieze's two virtual rows")
         return self.rows[r][i % self.n]
 
     def to_json(self) -> dict:

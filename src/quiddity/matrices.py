@@ -87,8 +87,11 @@ def check_word(w: Sequence[int]) -> Word:
 
 
 def rotate(w: Sequence[int], k: int) -> Word:
-    """Cyclic rotation: rotate(w, 1) starts with the second entry of w."""
+    """Cyclic rotation: rotate(w, 1) starts with the second entry of w.
+    Rejects the empty word."""
     word = tuple(w)
+    if not word:
+        raise ValueError("empty word")
     k %= len(word)
     return word[k:] + word[:k]
 
@@ -99,17 +102,25 @@ def canonical_rotation(w: Sequence[int]) -> Word:
     Only rotations that start at an occurrence of the least entry m can
     win: any other starts with an entry above m, and the rotation that
     starts at m is smaller in its first place.  So only those are
-    compared.  Rejects the empty word.
+    compared, each as one slice of the doubled word: the rotation by k
+    is ww[k:k + n].  The second copy holds m too, so the search for the
+    next m never fails, and the scan stops once it passes the first
+    copy.  Rejects the empty word.
     """
     word = tuple(w)
+    if not word:
+        raise ValueError("empty word")
+    n = len(word)
     least = min(word)
+    ww = word + word
     k = word.index(least)
-    best = word[k:] + word[:k]
-    for _ in range(word.count(least) - 1):
-        k = word.index(least, k + 1)
-        rotation = word[k:] + word[:k]
+    best = ww[k:k + n]
+    k = ww.index(least, k + 1)
+    while k < n:
+        rotation = ww[k:k + n]
         if rotation < best:
             best = rotation
+        k = ww.index(least, k + 1)
     return best
 
 

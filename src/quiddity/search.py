@@ -27,6 +27,7 @@ self-test.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -237,15 +238,24 @@ def _level_words(
     return tuple(sorted({w[k:] + w[:k] for w in classes for k in range(n)}))
 
 
+@functools.lru_cache(maxsize=None)
+def _proper_divisors(n: int) -> tuple[int, ...]:
+    """The divisors p < n of n, ascending."""
+    return tuple(p for p in range(1, n // 2 + 1) if n % p == 0)
+
+
 def _period(w: Word) -> int:
     """The number of distinct rotations of w: the least p dividing len(w)
     with w rotated by p equal to w.
 
-    A proper divisor of n is at most n/2, so the scan stops there and
-    otherwise the period is n itself.
+    Only the proper divisors p of n are tried, and otherwise the period
+    is n itself.  For such a p, w rotated by p equals w exactly when
+    w[p:] == w[:-p]: both say that w repeats its first p entries.
     """
-    n = len(w)
-    return next((p for p in range(1, n // 2 + 1) if n % p == 0 and w[p:] + w[:p] == w), n)
+    for p in _proper_divisors(len(w)):
+        if w[p:] == w[:-p]:
+            return p
+    return len(w)
 
 
 def generative_enumerate(

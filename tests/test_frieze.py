@@ -70,6 +70,12 @@ def test_virtual_rows():
     f = frieze((1, 2))
     assert f.entry(-1, 3) == 0
     assert f.entry(-2, 0) == -1
+    # no row lies above the two virtual ones, and none below r_max
+    g = frieze((1, 2, 2, 1, 3))
+    assert g.entry(g.r_max, 0) == g.rows[-1][0]
+    for r in (-3, -4, -len(g.rows), g.r_max + 1):
+        with pytest.raises(IndexError):
+            g.entry(r, 0)
 
 
 def test_frieze_rejects():

@@ -106,7 +106,12 @@ def test_word_product_matches_its_definition():
 def test_rotation_helpers():
     w = (3, 1, 2)
     assert rotate(w, 1) == (1, 2, 3)
+    assert rotate(w, -1) == (2, 3, 1)
+    assert rotate(w, 7) == (1, 2, 3)
     assert canonical_rotation((2, 1, 3)) == (1, 3, 2)
+    for word, k in (((), 1), ([], 0)):
+        with pytest.raises(ValueError, match="empty word"):
+            rotate(word, k)
 
 
 def _least_rotation(w):
@@ -132,6 +137,13 @@ def test_canonical_forms_match_their_definitions():
             canonical(())
         with pytest.raises(ValueError):
             canonical([])
+
+
+def test_canonical_forms_reject_the_empty_word():
+    for canonical in (canonical_rotation, canonical_dihedral):
+        for word in ((), []):
+            with pytest.raises(ValueError, match="empty word"):
+                canonical(word)
 
 
 def test_classify_matrix():

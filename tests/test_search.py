@@ -9,6 +9,7 @@ import quiddity.search
 import quiddity.surgery
 from quiddity.frieze import is_totally_positive
 from quiddity.limits import BudgetExceededError
+from quiddity.matrices import canonical_dihedral, canonical_rotation
 from quiddity.search import (
     SolutionClass,
     _as_problem,
@@ -160,6 +161,41 @@ def test_period_counts_distinct_rotations():
     assert _period((2, 1, 1, 2, 1, 1)) == 3
     assert _period((1, 1)) == 1
     assert _period((1, 2)) == 2
+
+
+def test_canonical_forms_and_periods_of_long_words():
+    # lengths up to 40, primes and 24, 30 and 36 among them: every
+    # divisor d of n as a block length, the block repeated and then
+    # spoilt in one place (period n, but long ties between rotations),
+    # and words with ten or more 1s, many candidate rotations each
+    words = [(1, 2) * k for k in range(1, 21)] + [(1, 1, 2) * k for k in range(1, 14)]
+    words += [(1,) * n for n in range(1, 41)]
+    rng = random.Random(28)
+    for n in (23, 24, 29, 30, 31, 36, 37, 40):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                block = tuple(rng.choice((1, 1, 1, 2, 3)) for _ in range(d))
+                word = block * (n // d)
+                i = rng.randrange(n)
+                words += [word, word[:i] + (word[i] + 1,) + word[i + 1:]]
+        for _ in range(20):
+            word = [1] * 10 + [rng.randint(1, 3) for _ in range(n - 10)]
+            rng.shuffle(word)
+            words.append(tuple(word))
+    for w in words:
+        rotations = _rotations(w)
+        least = min(rotations)
+        assert canonical_rotation(w) == least, w
+        assert canonical_dihedral(w) == min(least, min(_rotations(w[::-1]))), w
+        assert _period(w) == len(set(rotations)), w
+    assert canonical_rotation((2, 1) * 20) == (1, 2) * 20
+    assert canonical_rotation((1,) * 36 + (2,) + (1,) * 3) == (1,) * 39 + (2,)
+    assert [_period((1, 2) * k) for k in (12, 15, 18, 20)] == [2] * 4
+    assert [_period((1, 1, 2) * k) for k in (8, 10, 12, 13)] == [3] * 4
+    assert _period((1,) * 37) == 1
+    assert _period((1,) * 36 + (2,)) == 37
+    assert _period(((1,) * 5 + (2,)) * 6) == 6
+    assert _period(((1,) * 11 + (2,)) * 2 + (1,) * 11 + (3,)) == 36
 
 
 def test_problem_names():
