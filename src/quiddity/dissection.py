@@ -29,7 +29,8 @@ s-gon, and mapped onto every arc of that length, each distinct face
 once.  The search for a given quiddity,
 ``dissections_with_quiddity``, walks the same choices in the same order
 by plain recursion, and cuts a branch whose face counts can no longer
-reach the word before it calls it.
+reach the word before it calls it.  Every builder keeps the faces in the
+order it made them, and only ``faces`` sorts them.
 
 ``from_certificate`` rebuilds a dissection by replaying a reduction
 certificate on the boundary and the diagonals alone.  A type-1 step
@@ -49,7 +50,6 @@ every such dissection: the search over w + w, filtered.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
@@ -60,9 +60,12 @@ from .matrices import Word, check_word
 from .surgery import (
     BASE_TRIANGLE,
     BASES_CENTRAL,
+    NotASolutionError,
     ReductionCertificate,
+    SolutionClass,
     SurgeryStep,
     reduce_word,
+    solution_class,
 )
 
 Diagonal = tuple[int, int]
@@ -70,9 +73,9 @@ Face = tuple[int, ...]
 
 
 def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
-    """The sorted faces of the n-gon cut by the diagonals, each with its
-    vertices in increasing order; ValueError, naming a diagonal, if one
-    is not two integers or is invalid.
+    """The faces of the n-gon cut by the diagonals, unsorted, each with
+    its vertices in increasing order; ValueError, naming a diagonal, if
+    one is not two integers or is invalid.
 
     One pass over the sorted diagonals checks each and fills hop[v], the
     far end of v's outermost diagonal, or v + 1 when v has none.  Every
@@ -80,9 +83,8 @@ def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
     diagonal or the edge (0, n - 1).  The face under diagonal (i, j)
     starts at i, goes on to the far end of i's previous diagonal, or to
     i + 1 for i's first, and follows ``hop`` from there up to j.  The face
-    on the edge (0, n - 1) follows ``hop`` from 0 up to n - 1 and sorts
-    after vertex 0's other faces, so the faces come out sorted, and every
-    vertex but n - 1 hops once.
+    on the edge (0, n - 1) follows ``hop`` from 0 up to n - 1 and comes
+    last, and every vertex but n - 1 hops once.
 
     A walk that passes its diagonal's end hops from a vertex inside the
     diagonal to one beyond it, so two diagonals cross.  Every crossing is
@@ -128,7 +130,7 @@ def _sweep(n: int, diagonals: Iterable[Diagonal]) -> tuple[Face, ...]:
     while v < last:
         v = hop[v]
         face.append(v)
-    out.insert(bisect.bisect(diags, (0, last)), tuple(face))
+    out.append(tuple(face))
     return tuple(out)
 
 
@@ -163,8 +165,9 @@ class Dissection:
     their dissections without the constructor, with the faces they chose
     and no diagonals (``_built``); such a dissection builds its diagonals
     from its faces when they are first read (``_Chords``).  ``_faces``
-    holds the faces sorted; it takes no part in equality, hashing,
-    ``repr`` or ``to_json``.
+    holds the faces in the order their builder made them, which only
+    ``faces`` sorts; it takes no part in equality, hashing, ``repr`` or
+    ``to_json``.
     """
 
     n: int
@@ -187,7 +190,7 @@ class Dissection:
 def faces(d: Dissection) -> list[Face]:
     """The faces induced by the diagonals, each a vertex tuple in
     increasing (counterclockwise) order, as a fresh sorted list."""
-    return list(d._faces)
+    return sorted(d._faces)
 
 
 def is_3d_dissection(d: Dissection) -> bool:
@@ -475,8 +478,8 @@ def _pairs(n: int) -> list[list[Diagonal]]:
 
 def _built(n: int, face_lists: Iterable[list[Face]]) -> Iterator[Dissection]:
     """The dissections of the n-gon with these faces, which an enumerator
-    chose, so no ``_sweep`` checks them again; each list is sorted in
-    place and kept as the faces.
+    chose, so no ``_sweep`` checks them again; each list is kept,
+    unsorted, as the faces.
 
     Every diagonal is the chord, from least vertex to greatest, of
     exactly one face, and only the face whose chord is the edge
@@ -486,7 +489,6 @@ def _built(n: int, face_lists: Iterable[list[Face]]) -> Iterator[Dissection]:
     """
     new, put = object.__new__, object.__setattr__
     for fs in face_lists:
-        fs.sort()
         d = new(Dissection)
         put(d, "n", n)
         put(d, "_faces", tuple(fs))
@@ -515,8 +517,15 @@ def dissections_with_quiddity(w: Sequence[int], budget: Optional[int] = None) ->
 
 def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> list[Dissection]:
     """The centrally symmetric dissections of the 2n-gon whose quiddity
-    is w + w for the Problem III solution w, in enumeration order."""
-    found = dissections_with_quiddity(check_word(w) * 2, budget)
+    is w + w for the Problem III solution w, in enumeration order; for
+    any other w, what ``symmetric_dissection`` raises."""
+    word = check_word(w)
+    cls = solution_class(word)
+    if cls is SolutionClass.NOT_A_SOLUTION:
+        raise NotASolutionError(word)
+    if cls is not SolutionClass.PROBLEM_III:
+        raise ValueError(f"{word} is not a Problem III solution")
+    found = dissections_with_quiddity(word * 2, budget)
     return [d for d in found if is_centrally_symmetric(d)]
 
 

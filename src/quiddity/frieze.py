@@ -5,7 +5,8 @@ Row r of the frieze of a word (a_1..a_n) holds the cyclic continuants
 K_r(a_i,...,a_{i+r-1}); row 0 is all 1s, row 1 is the word itself.
 Column i is the ``sturm.iterate`` sequence of the word read from a_i,
 started at (V_0, V_1) = (0, 1), whose V_{r+1} is that K_r: friezes and
-Sturm sequences run one recurrence.  Two virtual rows K_{-1} = 0 and
+Sturm sequences run one recurrence, which ``frieze`` runs on the word it
+has checked, without a check per column.  Two virtual rows K_{-1} = 0 and
 K_{-2} = -1 sit above the array and take part in the tameness diamonds.
 """
 
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 from .dissection import Dissection, quiddity as dissection_quiddity
 from .matrices import Word, check_word
 from .search import sum_bound
-from .sturm import iterate
+from .sturm import _recur
 from .surgery import NotASolutionError, SolutionClass, solution_class
 
 
@@ -68,7 +69,7 @@ def frieze(w: Sequence[int], r_max: Optional[int] = None) -> Frieze:
         raise ValueError("need at least rows 0 and 1")
     if r_max > 2 * n - 2:
         raise ValueError(f"rows past 2n - 2 = {2 * n - 2} repeat the frieze with a sign flip")
-    columns = [iterate(word[i:] + word[:i], 0, 1, r_max + 1)[1:] for i in range(n)]
+    columns = [_recur(word[i:] + word[:i], 0, 1, r_max + 1)[1:] for i in range(n)]
     return Frieze(word, tuple(zip(*columns)))
 
 

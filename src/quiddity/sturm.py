@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import check_word
+from .matrices import Word, check_word
 from .surgery import NotASolutionError, SolutionClass, solution_class
 
 
@@ -23,6 +23,11 @@ def iterate(w: Sequence[int], v0: int, v1: int, steps: int) -> tuple[int, ...]:
     word = check_word(w)
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    return _recur(word, v0, v1, steps)
+
+
+def _recur(word: Word, v0: int, v1: int, steps: int) -> tuple[int, ...]:
+    """``iterate`` on a word that has been checked, for steps >= 0."""
     n = len(word)
     values = [v0, v1][:steps + 1]
     for i in range(1, steps):
@@ -47,7 +52,7 @@ def rotation_index(w: Sequence[int]) -> Fraction:
     if cls is SolutionClass.PROBLEM_III:
         word = word + word
     n = len(word)
-    values = iterate(word, 0, 1, n)
+    values = _recur(word, 0, 1, n)
     s = sum(1 for i in range(n) if values[i] == 0)
     s += sum(1 for i in range(n) if values[i] * values[i + 1] < 0)
     return Fraction(s, 2)

@@ -303,6 +303,26 @@ def test_symmetric_dissection_is_the_certificates():
         symmetric_dissection((2, 2, 2))
 
 
+def test_symmetric_dissections_refuses_what_symmetric_dissection_refuses(monkeypatch):
+    # a Problem I or II word, and a word that solves nothing, raise in
+    # both the same error; a Problem III word is classified once and the
+    # doubled word searched
+    for w in ((1, 1, 1), (1, 1, 1, 1, 1, 1), (1, 1, 2), (2, 2, 2)):
+        with pytest.raises(ValueError) as single:
+            symmetric_dissection(w)
+        with pytest.raises(ValueError) as listed:
+            symmetric_dissections(w)
+        assert (type(listed.value), str(listed.value)) == (type(single.value), str(single.value))
+        expected = NotASolutionError if solution_class(w) is SolutionClass.NOT_A_SOLUTION else ValueError
+        assert type(listed.value) is expected
+    calls = []
+    solution_class_of = dissection_module.solution_class
+    monkeypatch.setattr(dissection_module, "solution_class",
+                        lambda w: calls.append(w) or solution_class_of(w))
+    assert symmetric_dissections((1, 1, 1, 1, 2)) == [Dissection(10, {(4, 9)})]
+    assert calls == [(1, 1, 1, 1, 2)]
+
+
 def test_symmetric_dissection_classifies_once(monkeypatch):
     # one classification in reduce_word, and one replay, in its check:
     # from_certificate checks each step as it builds
@@ -625,6 +645,55 @@ def test_faces_are_fresh_lists():
     d = next(iter_dissections(6))
     faces(d).clear()
     assert len(faces(d)) == len(d.diagonals) + 1
+
+
+def _from_every_builder():
+    """Fresh dissections from every builder, no diagonals read: both
+    enumerators, the symmetric search, certificate replays and the
+    constructor, on 3d-dissections and on others."""
+    found = [d for n in range(3, 10) for d in iter_dissections(n)]
+    for w in ((2, 1) * 6, (1, 2, 1, 2, 1, 2, 1, 3, 1, 2, 2, 2, 1, 3), (1, 3, 1, 2, 2)):
+        found += dissections_with_quiddity(w)
+    for w in ((1, 1, 1, 1, 2), (5, 2, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)):
+        found += symmetric_dissections(w)
+    for w in ((1, 3, 1, 2, 2), (5, 2, 2, 2, 1), (2, 1, 2, 1), (1, 1, 2, 1, 1), (1,) * 12):
+        found.append(from_certificate(reduce_word(w)))
+    for n, diagonals in ((3, ()), (6, ((1, 3),)), (7, ((0, 2), (2, 6))), (8, ((0, 4), (1, 3), (5, 7))),
+                         (9, ((1, 8), (2, 4), (4, 7), (5, 7)))):
+        found.append(Dissection(n, diagonals))
+    return found
+
+
+def _readings(d):
+    """What every reader of the stored faces gives."""
+    readings = (faces(d), profile(d), is_3d_dissection(d))
+    if is_3d_dissection(d):
+        readings += (quiddity(d), even_face_parity(d))
+    return readings
+
+
+def test_faces_sort_only_when_asked():
+    # each builder stores its faces in the order it made them, and only
+    # faces() sorts: a fresh sorted list, the walk's faces; no other
+    # reader depends on the stored order, nor do the diagonals that an
+    # enumerated dissection builds from its faces on the first read
+    found = _from_every_builder()
+    assert len(found) == 859
+    assert any(list(d._faces) != sorted(d._faces) for d in found)
+    for d in found:
+        got = faces(d)
+        assert type(got) is list and got is not faces(d)
+        assert got == sorted(got) == _walked_faces(d.n, d.diagonals)
+    unread = 0
+    for d, twin in zip(_from_every_builder(), found):
+        unread += "diagonals" not in vars(d)
+        object.__setattr__(d, "_faces", d._faces[::-1])
+        assert _readings(d) == _readings(twin)
+        assert d.diagonals == twin.diagonals
+        assert d == twin and hash(d) == hash(twin) and d.to_json() == twin.to_json()
+    # all but the ten swept ones and the three that the symmetric
+    # search's filter read
+    assert unread == len(found) - 13
 
 
 def test_validation_matches_pairwise_check():

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quiddity import sturm
+from quiddity.frieze import frieze
 from quiddity.search import generative_enumerate
 from quiddity.sturm import iterate, rotation_index
 from quiddity.surgery import (
     NotASolutionError,
+    SolutionClass,
     apply_type1,
     apply_type2,
     classify,
+    solution_class,
 )
 
 words = st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=8).map(tuple)
@@ -46,6 +50,24 @@ def test_iterate_periodic_coefficients():
     v = iterate((2, 3), 0, 1, 6)
     for i in range(1, 6):
         assert v[i + 1] == (2, 3)[(i - 1) % 2] * v[i] - v[i - 1]
+
+
+def test_each_word_is_checked_once(monkeypatch):
+    # frieze checks its word itself and runs the recurrence on every
+    # column unchecked; rotation_index checks its word once, and neither
+    # the recurrence nor the doubled Problem III word is checked again
+    calls = []
+    check_word = sturm.check_word
+    monkeypatch.setattr(sturm, "check_word", lambda w: calls.append(w) or check_word(w))
+    for w in ((1, 3, 1, 2, 2), (1, 1, 2, 1, 1), (2, 1, 2, 1, 1, 1, 1)):
+        if solution_class(w) is not SolutionClass.PROBLEM_I:
+            frieze(w)
+            assert calls == []
+        rotation_index(w)
+        assert calls == [w]
+        calls.clear()
+    assert iterate((2, 3), 0, 1, 6) == (0, 1, 2, 5, 8, 19, 30)
+    assert calls == [(2, 3)]
 
 
 def test_broken_line_hexagon():
