@@ -131,6 +131,8 @@ def _render_dissection(args, d) -> tuple[dict, Callable[[], list[str]]]:
 
 
 def cmd_dissect(args) -> int:
+    if args.all and args.render != "json":
+        raise ValueError(f"--render {args.render} draws one dissection; --all lists them as JSON")
     word = _parse_word(args.word)
     cls, cert = classify(word)
     if cls is SolutionClass.NOT_A_SOLUTION:

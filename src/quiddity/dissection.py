@@ -157,7 +157,9 @@ class Dissection:
 
     Construction freezes the diagonals, whatever collection of pairs they
     come in: a set or frozenset as it is, which keeps its order, any other
-    as tuples, so a ``to_json`` document reads back.  It then checks them
+    as tuples, so a ``to_json`` document reads back.  A vertex count that
+    is not an integer, or diagonals that are not a collection of pairs,
+    raise ValueError naming the value.  It then checks the diagonals
     and builds the faces in one ``_sweep``: a walk per face under its
     chord, which is a diagonal or the edge (0, n - 1).  A walk that
     passes its chord's end raises for the first crossing pair in sorted
@@ -175,11 +177,16 @@ class Dissection:
     _faces: tuple[Face, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count {self.n!r} is not an integer")
         if self.n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
         diagonals = self.diagonals
-        frozen = frozenset(diagonals if isinstance(diagonals, (set, frozenset))
-                           else map(tuple, diagonals))
+        try:
+            frozen = frozenset(diagonals if isinstance(diagonals, (set, frozenset))
+                               else map(tuple, diagonals))
+        except TypeError:  # not iterable, or an entry is not iterable or not hashable
+            raise ValueError(f"diagonals {diagonals!r} are not a collection of pairs") from None
         object.__setattr__(self, "diagonals", frozen)
         object.__setattr__(self, "_faces", _sweep(self.n, frozen))
 

@@ -8,6 +8,8 @@ started at (V_0, V_1) = (0, 1), whose V_{r+1} is that K_r: friezes and
 Sturm sequences run one recurrence, which ``frieze`` runs on the word it
 has checked, without a check per column.  Two virtual rows K_{-1} = 0 and
 K_{-2} = -1 sit above the array and take part in the tameness diamonds.
+A Farey polygon's quiddity is read off the next-term rule of the Farey
+sequence, which is the frieze relation on its vertex vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dissection import Dissection, quiddity as dissection_quiddity
 from .matrices import Word, check_word
 from .search import sum_bound
 from .sturm import _recur
@@ -135,32 +136,23 @@ def farey_quiddity(order: int) -> Word:
     """Quiddity of the triangulated polygon on the Farey fractions of
     the given order in [0,1], with unimodular pairs joined.
 
-    An in-order Stern-Brocot walk lists the fractions in increasing
-    order: each mediant (a+c)/(b+d) with b+d <= order lies between its
-    parents a/b and c/d, which are joined by a diagonal.  These are all
-    the unimodular pairs that are not polygon sides: the fractions
-    strictly between a unimodular pair include its mediant, and the
-    mediant's denominator is the smallest among them.  The root 1/2
-    joins 0/1 and 1/1, which is a side.
+    The entry at c/d, whose vertex vector is v_i = (c, d), is the a_i of
+    the frieze relation v_{i-1} + v_{i+1} = a_i v_i, which for Farey is
+    the next-term rule: after consecutive fractions a/b < c/d comes
+    (k c - a)/(k d - b) with k = (order + b) // d.  The fractions joined
+    to c/d are (j c - a)/(j d - b), read with a positive denominator, for
+    the j with |j d - b| <= order; as b + d > order, those are j = 0..k,
+    from a/b to the next fraction, and consecutive ones are joined, so
+    the k + 1 neighbours fan out into k triangles at c/d.  Each end, 0/1
+    and 1/1, is joined to every 1/q, so it lies in order - 1 triangles.
     """
-    if order < 2:
-        raise ValueError("the Farey polygon needs order >= 2")
-    fracs = [(0, 1)]
-    parents = []  # (left, right) of every mediant but the root
-    stack = []  # intervals whose mediant is not yet listed; depth <= order
-    left, right = (0, 1), (1, 1)
-    while True:
-        while left[1] + right[1] <= order:
-            stack.append((left, right))
-            right = (left[0] + right[0], left[1] + right[1])
-        if not stack:
-            break
-        left, right = stack.pop()
-        if (left, right) != ((0, 1), (1, 1)):
-            parents.append((left, right))
-        left = (left[0] + right[0], left[1] + right[1])
-        fracs.append(left)
-    fracs.append((1, 1))
-    position = {f: i for i, f in enumerate(fracs)}
-    diagonals = frozenset((position[a], position[b]) for a, b in parents)
-    return dissection_quiddity(Dissection(len(fracs), diagonals))
+    if type(order) is not int or order < 2:
+        raise ValueError(f"the Farey polygon needs an integer order >= 2, not {order!r}")
+    word = [order - 1]
+    a, b, c, d = 0, 1, 1, order
+    while d > 1:  # c/d = 1/1 ends the walk
+        k = (order + b) // d
+        word.append(k)
+        a, b, c, d = c, d, k * c - a, k * d - b
+    word.append(order - 1)
+    return tuple(word)

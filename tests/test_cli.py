@@ -186,6 +186,21 @@ def test_dissect_render_svg(capsys):
     assert out.count("<text ") == 5
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("render", ["dot", "svg"])
+def test_dissect_all_refuses_a_drawing(capsys, monkeypatch, fmt, render):
+    # --all lists dissections as JSON, so --render dot|svg is refused
+    # before the word is classified or searched
+    def unreachable(*args):
+        raise AssertionError("classified")
+
+    monkeypatch.setattr("quiddity.cli.classify", unreachable)
+    code, out, err = run(capsys, "--format", fmt, "dissect", "1,1,1", "--all", "--render", render)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"--render {render}" in err
+
+
 def test_dissect_non_solution(capsys):
     code, _, _ = run(capsys, "dissect", "3,3,3")
     assert code == 1

@@ -439,6 +439,21 @@ def test_constructor_reads_json_back_and_names_malformed_diagonals():
                 Dissection(6, diagonals)
 
 
+@pytest.mark.parametrize("n, diagonals, named", [
+    ("8", [], "'8'"),
+    (8.0, [], "8.0"),
+    (True, [], "True"),
+    (6, None, "None"),
+    (6, 7, "7"),
+    (6, [5], "[5]"),
+    (6, [[[0], 2]], "[[[0], 2]]"),
+])
+def test_constructor_names_a_malformed_count_or_collection(n, diagonals, named):
+    # ValueError, not a TypeError from deep inside, naming the value
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Dissection(n, diagonals)
+
+
 def test_render_smoke():
     d = _make_dissection(5, [(0, 2), (0, 3)])
     assert "graph" in to_dot(d)

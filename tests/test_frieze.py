@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import quiddity.frieze as frieze_module
 from quiddity.dissection import Dissection, quiddity
 from quiddity.frieze import (
     Frieze,
@@ -139,6 +141,29 @@ def test_farey_small_orders():
     assert farey_quiddity(2) == (1, 1, 1)
     with pytest.raises(ValueError):
         farey_quiddity(1)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, True, "5", 1, -3])
+def test_farey_order_must_be_an_integer_of_at_least_two(order):
+    with pytest.raises(ValueError):
+        farey_quiddity(order)
+
+
+def test_farey_words_are_pinned():
+    # sha256 over each word's entries, comma-joined, each followed by ";"
+    digest = hashlib.sha256()
+    for order in range(2, 121):
+        digest.update((",".join(map(str, farey_quiddity(order))) + ";").encode())
+    assert digest.hexdigest() == "f59724ab0699efa6015ca8ba7619146e05172f9322207715bdd1880e36d0ace8"
+
+
+def test_farey_builds_no_dissection(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Dissection was built")
+
+    monkeypatch.setattr(Dissection, "__post_init__", refuse)
+    assert len(farey_quiddity(300)) == 27399
+    assert not hasattr(frieze_module, "Dissection")
 
 
 def _farey_quiddity_pairwise(order):
