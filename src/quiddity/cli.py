@@ -19,11 +19,11 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import dissection as dmod
 from . import limits, psl2, search, sturm
 from .frieze import (
+    _is_totally_positive,
     check_glide,
     check_tame,
     farey_quiddity,
     frieze as build_frieze,
-    is_totally_positive,
     render_text,
 )
 from .matrices import Mat2, Word, word_product
@@ -140,7 +140,7 @@ def cmd_dissect(args) -> int:
         return EXIT_DOMAIN
     if args.all:
         if cls is SolutionClass.PROBLEM_III:
-            found = dmod.symmetric_dissections(word, budget=args.budget)
+            found = dmod._symmetric_dissections(word, args.budget)
         else:
             found = dmod.dissections_with_quiddity(word, budget=args.budget)
         docs = [d.to_json() for d in found]
@@ -214,7 +214,7 @@ def cmd_farey(args) -> int:
         "class": cls.value,
         "sum": sum(word),
         "sum_expected": search.sum_bound(cls, len(word)),
-        "totally_positive": is_totally_positive(word),
+        "totally_positive": _is_totally_positive(word, cls),
     }
     _emit(args, payload, lambda: [
         f"quiddity: {','.join(map(str, word))}",

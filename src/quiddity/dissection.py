@@ -52,11 +52,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import limits
-from .matrices import Word, check_word
+from .matrices import Word, _Record, check_word
 from .surgery import (
     BASE_TRIANGLE,
     BASES_CENTRAL,
@@ -138,8 +137,8 @@ class _Chords:
     """The ``diagonals`` of a dissection that an enumerator built from
     its faces: the faces' chords, from the shared ``_pairs`` table, built
     on the first read and then kept on the instance, which shadows this
-    non-data descriptor from then on.  Read on the class it raises
-    AttributeError, so the dataclass sees no default."""
+    non-data descriptor from then on.  Read on the class, which has no
+    faces, it raises AttributeError."""
 
     def __get__(self, d, owner=None):
         if d is None:
@@ -151,15 +150,14 @@ class _Chords:
         return diagonals
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(_Record):
     """A convex n-gon dissected by pairwise non-crossing diagonals.
 
-    Construction freezes the diagonals, whatever collection of pairs they
-    come in: a set or frozenset as it is, which keeps its order, any other
-    as tuples, so a ``to_json`` document reads back.  A vertex count that
-    is not an integer, or diagonals that are not a collection of pairs,
-    raise ValueError naming the value.  It then checks the diagonals
+    ``__post_init__`` freezes the diagonals, whatever collection of pairs
+    they come in: a set or frozenset as it is, which keeps its order, any
+    other as tuples, so a ``to_json`` document reads back.  A vertex count
+    that is not an integer, or diagonals that are not a collection of
+    pairs, raise ValueError naming the value.  It then checks the diagonals
     and builds the faces in one ``_sweep``: a walk per face under its
     chord, which is a diagonal or the edge (0, n - 1).  A walk that
     passes its chord's end raises for the first crossing pair in sorted
@@ -168,13 +166,17 @@ class Dissection:
     and no diagonals (``_built``); such a dissection builds its diagonals
     from its faces when they are first read (``_Chords``).  ``_faces``
     holds the faces in the order their builder made them, which only
-    ``faces`` sorts; it takes no part in equality, hashing, ``repr`` or
-    ``to_json``.
+    ``faces`` sorts; it is no field, so it takes no part in equality,
+    hashing, ``repr`` or ``to_json``.
     """
 
-    n: int
-    diagonals: frozenset[Diagonal] = _Chords()
-    _faces: tuple[Face, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("n", "diagonals")
+    diagonals = _Chords()
+
+    def __init__(self, n: int, diagonals: Iterable[Diagonal]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "diagonals", diagonals)
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.n) is not int:
@@ -258,7 +260,7 @@ def _antipodal_steps(cert: ReductionCertificate) -> Iterator[SurgeryStep]:
     by s, so every intermediate dissection stays centrally symmetric."""
     h = len(cert.base)
     for step in cert.steps:
-        yield replace(step, position=step.position + h, shift=0)
+        yield SurgeryStep(step.position + h, step.split)
         yield step
         h += 1 if step.split is None else 3
 
@@ -532,6 +534,11 @@ def symmetric_dissections(w: Sequence[int], budget: Optional[int] = None) -> lis
         raise NotASolutionError(word)
     if cls is not SolutionClass.PROBLEM_III:
         raise ValueError(f"{word} is not a Problem III solution")
+    return _symmetric_dissections(word, budget)
+
+
+def _symmetric_dissections(word: Word, budget: Optional[int]) -> list[Dissection]:
+    """``symmetric_dissections`` of a checked Problem III solution."""
     found = dissections_with_quiddity(word * 2, budget)
     return [d for d in found if is_centrally_symmetric(d)]
 

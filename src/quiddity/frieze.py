@@ -14,19 +14,20 @@ sequence, which is the frieze relation on its vertex vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .matrices import Word, check_word
+from .matrices import Word, _Record, check_word
 from .search import sum_bound
 from .sturm import _recur
 from .surgery import NotASolutionError, SolutionClass, solution_class
 
 
-@dataclass(frozen=True)
-class Frieze:
-    word: Word
-    rows: tuple[tuple[int, ...], ...]
+class Frieze(_Record):
+    _fields = ("word", "rows")
+
+    def __init__(self, word: Word, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -117,6 +118,11 @@ def is_totally_positive(w: Sequence[int]) -> bool:
     cls = solution_class(word)
     if cls not in (SolutionClass.PROBLEM_II, SolutionClass.PROBLEM_III):
         raise NotASolutionError(word, "total positivity applies to Problem II or III solutions")
+    return _is_totally_positive(word, cls)
+
+
+def _is_totally_positive(word: Word, cls: SolutionClass) -> bool:
+    """``is_totally_positive`` of a checked word of known class ``cls``."""
     return sum(word) == sum_bound(cls, len(word))
 
 

@@ -18,20 +18,51 @@ four integers and builds no ``Mat2``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Mat2:
+class _Record:
+    """A frozen record: a subclass names its fields in ``_fields`` and its
+    ``__init__`` puts them, in order, in the instance ``__dict__``.  Equality
+    (same class only), hash and ``repr`` go by the fields, and no attribute
+    can be assigned or deleted afterwards."""
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Mat2(_Record):
     """2x2 integer matrix [[a, b], [c, d]]."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        put = object.__setattr__
+        put(self, "a", a)
+        put(self, "b", b)
+        put(self, "c", c)
+        put(self, "d", d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(

@@ -28,11 +28,10 @@ self-test.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import limits
-from .matrices import Word, canonical_dihedral, canonical_rotation, elementary
+from .matrices import Word, _Record, canonical_dihedral, canonical_rotation, elementary
 from .surgery import (
     BASES_CENTRAL,
     BASE_TRIANGLE,
@@ -42,15 +41,17 @@ from .surgery import (
 )
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Record):
     """All solutions of one problem at one length, as ordered tuples.
 
     Rotations of a solution are distinct members, matching the counting
     convention of the source lists (e.g. 7 solutions at I, n=7).
     """
 
-    words: tuple[Word, ...]
+    _fields = ("words",)
+
+    def __init__(self, words: tuple[Word, ...]):
+        object.__setattr__(self, "words", words)
 
     def __len__(self) -> int:
         return len(self.words)

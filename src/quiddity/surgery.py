@@ -29,10 +29,9 @@ is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .matrices import SolutionClass, Word, _classify, _continuants, check_word, rotate
+from .matrices import SolutionClass, Word, _Record, _classify, _continuants, check_word, rotate
 
 BASES_CENTRAL = ((1, 2), (2, 1))
 BASE_TRIANGLE = (1, 1, 1)
@@ -46,16 +45,19 @@ class NotASolutionError(ValueError):
         self.word = word
 
 
-@dataclass(frozen=True)
-class SurgeryStep:
+class SurgeryStep(_Record):
     """One forward surgery step at ``position`` of the stored word: type 2
     when it has a ``split`` (a', a''), else type 1.  The spliced result is
     then rotated by ``shift`` (``matrices.rotate``); any integer is allowed.
     """
 
-    position: int
-    split: Optional[tuple[int, int]] = None
-    shift: int = 0
+    _fields = ("position", "split", "shift")
+
+    def __init__(self, position: int, split: Optional[tuple[int, int]] = None, shift: int = 0):
+        put = object.__setattr__
+        put(self, "position", position)
+        put(self, "split", split)
+        put(self, "shift", shift)
 
 
 def solution_class(w: Sequence[int]) -> SolutionClass:
@@ -64,12 +66,14 @@ def solution_class(w: Sequence[int]) -> SolutionClass:
     return _classify(*_continuants(w))
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
+class ReductionCertificate(_Record):
     """A base word plus forward steps that rebuild the original word."""
 
-    base: Word
-    steps: tuple[SurgeryStep, ...] = field(default_factory=tuple)
+    _fields = ("base", "steps")
+
+    def __init__(self, base: Word, steps: tuple[SurgeryStep, ...] = ()):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def type1_count(self) -> int:

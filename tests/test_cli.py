@@ -254,24 +254,23 @@ def test_frieze_refused(capsys, word, cls, reason):
     (["verify", "2,2"], 1, 0),
     (["dissect", "1,1,2,1,1"], 1, 1),
     (["dissect", "2,1,2,1,1,1,1"], 1, 1),
-    (["dissect", "--all", "1,1,1,1,2"], 2, 1),
+    (["dissect", "--all", "1,1,1,1,2"], 1, 1),
     (["dissect", "--all", "2,1,2,1,1,1,1"], 1, 1),
     (["decompose", "2,1,1,1"], 2, 1),
     (["frieze", "1,1,2,1,1"], 1, 0),
-    (["farey", "5"], 2, 0),
+    (["farey", "5"], 1, 0),
 ], ids=["verify-III", "verify-I", "verify-none", "dissect-III", "dissect-I", "dissect-all-III",
         "dissect-all-I", "decompose", "frieze", "farey"])
 def test_one_verdict_per_query(capsys, monkeypatch, argv, classifications, replays):
     # verify: reduce_word and rotation_index classify; dissect: reduce_word
-    # only, and for --all of a Problem III word symmetric_dissections
-    # classifies the half word again before it searches; decompose:
-    # rotation_index and reduce_word, since the two
-    # product checks of element_quiddity's decompositions already make the
-    # combined word a Problem I or II solution; frieze: frieze() only.
-    # farey: cmd_farey classifies the word, and is_totally_positive's guard
-    # classifies it again.  The one replay is reduce_word's check: classify
-    # reads the class from the certificate, and from_certificate checks
-    # each step as it builds.
+    # only, also for --all, whose search of a Problem III word skips
+    # symmetric_dissections' class check; decompose: rotation_index and
+    # reduce_word, since the two product checks of element_quiddity's
+    # decompositions already make the combined word a Problem I or II
+    # solution; frieze: frieze() only; farey: cmd_farey classifies the word
+    # once and hands the class to is_totally_positive's core.  The one
+    # replay is reduce_word's check: classify reads the class from the
+    # certificate, and from_certificate checks each step as it builds.
     calls = []
     solution_class_of = surgery.solution_class
     replay = ReductionCertificate.replay

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import itertools
 import json
@@ -400,10 +399,10 @@ def test_unread_dissection_behaves_like_the_constructors():
         Dissection(5)
     with pytest.raises(AttributeError):
         Dissection.diagonals
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="diagonals"):
         swept.diagonals = frozenset()
     unread = next(iter_dissections(7))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="diagonals"):
         unread.diagonals = frozenset()
     assert "diagonals" not in vars(unread)
 
