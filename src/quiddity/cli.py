@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 domain negative (e.g. not a solution),
 2 usage error, 3 budget exceeded, 141 stdout closed before the output
 was written (128 + SIGPIPE, as a shell reports a program that SIGPIPE
 ended), without a traceback.  The QUIDDITY_BUDGET environment variable
-raises the enumeration ceilings globally.
+raises the enumeration ceilings globally.  Each call builds the top-level
+parser and only the parser of the subcommand that runs (``_Subcommand``).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def cmd_verify(args) -> int:
     total = sum(word)
     expected = search.sum_bound(cls, n) - 6 * r_count
     bound = search.entry_bound(cls, n)
-    index = sturm.rotation_index(word)
+    index = sturm._rotation_index(word, cls)
     payload = {
         "word": list(word),
         "class": cls.value,
@@ -186,8 +187,9 @@ def cmd_decompose(args) -> int:
     m = Mat2(a, b, c, d)
     word, inverse_word = psl2.element_quiddity(m)  # the reduced words of m and m^-1
     combined = word + inverse_word
-    index = sturm.rotation_index(combined)
-    diss = dmod.from_certificate(reduce_word(combined))
+    cert = reduce_word(combined)
+    index = sturm._rotation_index(combined, cert.solution_class)
+    diss = dmod.from_certificate(cert)
     payload = {
         "matrix": m.rows(),
         "reduced": list(word),
@@ -227,7 +229,7 @@ def cmd_farey(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one ``error:`` line, exit code 2;
-    ``add_subparsers`` builds the subcommand parsers with this class too."""
+    ``_Subcommand`` builds the subcommand parsers with this class too."""
 
     hint = ""  # appended to the error line
 
@@ -235,16 +237,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}{self.hint}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="quiddity")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Subcommand:
+    """Builds a subcommand's parser on each use; argparse (3.10, 3.11) uses
+    it only to parse, and ``arguments`` then binds the current ``cmd_*``."""
 
-    p = sub.add_parser("verify", help="classify a word and print its invariants")
+    def __init__(self, arguments, **kwargs):
+        self.arguments, self.kwargs = arguments, kwargs
+
+    def __getattr__(self, name):
+        parser = _Parser(**self.kwargs)
+        self.arguments(parser)
+        return getattr(parser, name)
+
+
+def _verify_args(p):
     p.add_argument("word")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("enumerate", help="list or count all solutions of one length")
+
+def _enumerate_args(p):
     p.add_argument("--problem", required=True, choices=("1", "2", "3", "I", "II", "III"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", action="store_true")
@@ -253,30 +264,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("dissect", help="build a dissection with the given quiddity")
+
+def _dissect_args(p):
     p.add_argument("word")
     p.add_argument("--render", choices=("json", "dot", "svg"), default="json")
-    p.add_argument("--all", action="store_true",
-                   help="list every dissection with this quiddity")
+    p.add_argument("--all", action="store_true", help="list every dissection with this quiddity")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_dissect)
 
-    p = sub.add_parser("frieze", help="print the frieze of a solution")
+
+def _frieze_args(p):
     p.add_argument("word")
     p.add_argument("--rows", type=int, default=None)
     p.set_defaults(func=cmd_frieze)
 
-    p = sub.add_parser("decompose", help="reduced decomposition of a matrix a,b,c,d")
+
+def _decompose_args(p):
     p.add_argument("matrix")
     # argparse reads -1,0,0,-1 as an option, so the matrix is then missing
     p.hint = (" (a matrix whose first entry is negative goes after --,"
               " as in: decompose -- -1,0,0,-1)")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("farey", help="quiddity of the Farey polygon of an order")
+
+def _farey_args(p):
     p.add_argument("order", type=int)
     p.set_defaults(func=cmd_farey)
 
+
+_COMMANDS = (
+    ("verify", "classify a word and print its invariants", _verify_args),
+    ("enumerate", "list or count all solutions of one length", _enumerate_args),
+    ("dissect", "build a dissection with the given quiddity", _dissect_args),
+    ("frieze", "print the frieze of a solution", _frieze_args),
+    ("decompose", "reduced decomposition of a matrix a,b,c,d", _decompose_args),
+    ("farey", "quiddity of the Farey polygon of an order", _farey_args),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="quiddity")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, help_line, arguments in _COMMANDS:
+        sub.add_parser(name, help=help_line, arguments=arguments)
     return parser
 
 
@@ -296,9 +327,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _run(argv: Optional[Sequence[str]]) -> int:
     """Parse the command line and run its subcommand; the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

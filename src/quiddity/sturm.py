@@ -49,6 +49,11 @@ def rotation_index(w: Sequence[int]) -> Fraction:
     cls = solution_class(word)
     if cls is SolutionClass.NOT_A_SOLUTION:
         raise NotASolutionError(word)
+    return _rotation_index(word, cls)
+
+
+def _rotation_index(word: Word, cls: SolutionClass) -> Fraction:
+    """``rotation_index`` of a checked solution whose class is ``cls``."""
     if cls is SolutionClass.PROBLEM_III:
         word = word + word
     n = len(word)

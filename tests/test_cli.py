@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quiddity
-from quiddity import surgery
+from quiddity import cli, surgery
 from quiddity.cli import EXIT_CLOSED_STDOUT, main
 from quiddity.dissection import faces, from_certificate
 from quiddity.frieze import frieze, render_text
@@ -249,25 +249,26 @@ def test_frieze_refused(capsys, word, cls, reason):
 
 
 @pytest.mark.parametrize("argv, classifications, replays", [
-    (["verify", "1,1,2,1,1"], 2, 1),
-    (["verify", "2,1,2,1,1,1,1"], 2, 1),
+    (["verify", "1,1,2,1,1"], 1, 1),
+    (["verify", "2,1,2,1,1,1,1"], 1, 1),
     (["verify", "2,2"], 1, 0),
     (["dissect", "1,1,2,1,1"], 1, 1),
     (["dissect", "2,1,2,1,1,1,1"], 1, 1),
     (["dissect", "--all", "1,1,1,1,2"], 1, 1),
     (["dissect", "--all", "2,1,2,1,1,1,1"], 1, 1),
-    (["decompose", "2,1,1,1"], 2, 1),
+    (["decompose", "2,1,1,1"], 1, 1),
     (["frieze", "1,1,2,1,1"], 1, 0),
     (["farey", "5"], 1, 0),
 ], ids=["verify-III", "verify-I", "verify-none", "dissect-III", "dissect-I", "dissect-all-III",
         "dissect-all-I", "decompose", "frieze", "farey"])
 def test_one_verdict_per_query(capsys, monkeypatch, argv, classifications, replays):
-    # verify: reduce_word and rotation_index classify; dissect: reduce_word
-    # only, also for --all, whose search of a Problem III word skips
-    # symmetric_dissections' class check; decompose: rotation_index and
-    # reduce_word, since the two product checks of element_quiddity's
-    # decompositions already make the combined word a Problem I or II
-    # solution; frieze: frieze() only; farey: cmd_farey classifies the word
+    # verify: reduce_word only, and the rotation index's core takes the
+    # class from the certificate; dissect: reduce_word only, also for --all,
+    # whose search of a Problem III word skips symmetric_dissections' class
+    # check; decompose: reduce_word only, since the two product checks of
+    # element_quiddity's decompositions already make the combined word a
+    # Problem I or II solution, and the index's core takes the certificate's
+    # class; frieze: frieze() only; farey: cmd_farey classifies the word
     # once and hands the class to is_totally_positive's core.  The one
     # replay is reduce_word's check: classify reads the class from the
     # certificate, and from_certificate checks each step as it builds.
@@ -404,3 +405,76 @@ def test_closed_stdout_exits_quietly(argv):
     assert r.returncode == EXIT_CLOSED_STDOUT == 141
     assert "Traceback" not in r.stderr
     assert r.stderr == ""
+
+
+def _eager_parser():
+    """The CLI's parser with every subcommand parser built at once, by plain
+    ``add_parser``, from the same rows."""
+    parser = cli._Parser(prog="quiddity")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, arguments in cli._COMMANDS:
+        arguments(sub.add_parser(name, help=help_line))
+    return parser
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"],
+    *([name, "--help"] for name, _, _ in cli._COMMANDS),
+    ["no-such-command"], ["verify"], ["verify", "1,1,1", "1,1,1"],
+    ["verify", "1,1,1", "--format", "json"], ["--format", "xml", "verify", "1,1,1"],
+    ["--form", "json", "verify", "1,1,1"],
+    ["enumerate", "--prob", "II", "--n", "5", "--count"],
+    ["enumerate", "--problem", "II", "--n", "6", "--eng", "both", "--count"],
+    ["decompose", "-1,0,0,-1"], ["decompose", "--", "-1,0,0,-1"],
+    ["verify", "1,1,1", "-h"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_lazy_parser_matches_eager_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    lazy = run(capsys, *argv)
+    monkeypatch.setattr(cli, "build_parser", _eager_parser)
+    assert run(capsys, *argv) == lazy
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["verify", "1,1,1"], 2),
+    (["enumerate", "--problem", "II", "--n", "5", "--count"], 2),
+    (["dissect", "1,1,1"], 2),
+    (["frieze", "1,1,1"], 2),
+    (["decompose", "2,1,1,1"], 2),
+    (["farey", "3"], 2),
+    (["no-such-command"], 1),
+    (["--help"], 1),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_builds_only_the_parser_that_runs(capsys, monkeypatch, argv, built):
+    # the top-level parser, and the parser of the subcommand that runs
+    inits = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    main(argv)
+    capsys.readouterr()
+    assert len(inits) == built, inits
+
+
+def test_dispatch_reads_the_module_binding(monkeypatch):
+    # the subcommand's function is looked up when main runs, so a rebinding
+    # of quiddity.cli.cmd_farey (a tracer's, say) is the one called
+    seen = []
+    monkeypatch.setattr(cli, "cmd_farey", lambda args: seen.append(args.order) or 0)
+    assert main(["farey", "3"]) == 0
+    assert seen == [3]
+
+
+def test_stand_in_builds_the_parser_for_any_other_use():
+    # newer argparse versions may call more than parse_known_args on a
+    # subcommand parser; any such use gets the parser that runs would build
+    lazy = cli._Subcommand(cli._verify_args, prog="quiddity verify")
+    eager = cli._Parser(prog="quiddity verify")
+    cli._verify_args(eager)
+    assert lazy.format_help() == eager.format_help()
+    assert lazy.parse_args(["1,1,1"]).func is cli.cmd_verify
