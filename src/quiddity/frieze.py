@@ -77,17 +77,16 @@ def frieze(w: Sequence[int], r_max: Optional[int] = None) -> Frieze:
 
 def check_tame(f: Frieze) -> bool:
     """True iff every contiguous 3x3 diamond has determinant zero."""
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
+    n = f.n
+    rows = ((-1,) * n, (0,) * n) + f.rows  # rows[r + 2] is row r
     for r in range(f.r_max - 1):
-        for i in range(f.n):
-            m = [[f.entry(r + t - s, i + s) for t in range(3)] for s in range(3)]
-            if det3(m) != 0:
+        a, b, c, d, e = rows[r:r + 5]  # rows r - 2 .. r + 2
+        for i in range(n):
+            j, k = (i + 1) % n, (i + 2) % n
+            # the diamond's rows: c[i] d[i] e[i], b[j] c[j] d[j], a[k] b[k] c[k]
+            if (c[i] * (c[j] * c[k] - d[j] * b[k])
+                    - d[i] * (b[j] * c[k] - d[j] * a[k])
+                    + e[i] * (b[j] * b[k] - c[j] * a[k])) != 0:
                 return False
     return True
 
@@ -95,13 +94,13 @@ def check_tame(f: Frieze) -> bool:
 def check_glide(f: Frieze) -> bool:
     """Reflection symmetry of a full Problem III array: row m-2-r equals
     row r read with the column shift r+1, where m = 2n."""
-    m = 2 * f.n
+    n, m, rows = f.n, 2 * f.n, f.rows
     if f.r_max != m - 2:
         raise ValueError("glide check needs the full array of 2n-1 rows")
     for r in range(f.r_max + 1):
-        for i in range(f.n):
-            if f.entry(m - 2 - r, i) != f.entry(r, i - r - 1):
-                return False
+        s = (-r - 1) % n
+        if rows[m - 2 - r] != rows[r][s:] + rows[r][:s]:
+            return False
     return True
 
 

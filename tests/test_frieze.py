@@ -107,6 +107,54 @@ def test_corrupted_frieze_is_not_tame():
     assert not _check_diamond(broken)
 
 
+def _tame_by_entry(f):
+    """Every contiguous 3x3 diamond, read entry by entry, has determinant zero."""
+    for r in range(f.r_max - 1):
+        for i in range(f.n):
+            m = [[f.entry(r + t - s, i + s) for t in range(3)] for s in range(3)]
+            if (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])) != 0:
+                return False
+    return True
+
+
+def _glide_by_entry(f):
+    """Row 2n-2-r equals row r read with the column shift r+1, entry by entry."""
+    m = 2 * f.n
+    return all(f.entry(m - 2 - r, i) == f.entry(r, i - r - 1)
+               for r in range(f.r_max + 1) for i in range(f.n))
+
+
+def test_tame_and_glide_match_their_entrywise_definitions():
+    # check_tame and check_glide index the rows directly; their verdicts
+    # must be those of the diamonds and glide read through Frieze.entry
+    friezes = []
+    for problem, lengths in (("II", range(3, 10)), ("III", range(2, 8))):
+        for n in lengths:
+            for w in generative_enumerate(problem, n).words:
+                friezes.append(frieze(w))
+                if problem == "II":
+                    friezes.append(frieze(w, r_max=2 * n - 2))  # glide fails here
+    # the corrupted frieze of test_corrupted_frieze_is_not_tame, and every
+    # other one-entry corruption of two full arrays
+    for w in ((1, 1, 2, 1, 1), (1, 3, 1, 2, 2)):
+        f = frieze(w, r_max=2 * len(w) - 2)
+        for r in range(f.r_max + 1):
+            for i in range(f.n):
+                rows = [list(row) for row in f.rows]
+                rows[r][i] += 1
+                friezes.append(Frieze(f.word, tuple(tuple(row) for row in rows)))
+    tame, glide = [], []
+    for f in friezes:
+        tame.append(check_tame(f))
+        assert tame[-1] == _tame_by_entry(f), f
+        if f.r_max == 2 * f.n - 2:
+            glide.append(check_glide(f))
+            assert glide[-1] == _glide_by_entry(f), f
+    assert set(tame) == set(glide) == {True, False}
+
+
 def test_glide_needs_full_array():
     with pytest.raises(ValueError):
         check_glide(frieze((1, 1, 2, 1, 1), r_max=4))
