@@ -5,9 +5,8 @@ Exit codes: 0 success, 1 domain negative (e.g. not a solution),
 2 usage error, 3 budget exceeded, 141 stdout closed before the output
 was written (128 + SIGPIPE, as a shell reports a program that SIGPIPE
 ended), without a traceback.  The QUIDDITY_BUDGET environment variable
-raises the enumeration ceilings globally.  The top-level parser is built
-on the first ``main`` call and kept for the process; each call builds only
-the parser of the subcommand that runs (``_Subcommand``).
+raises the enumeration ceilings globally.  Each call builds the top-level
+parser and only the parser of the subcommand that runs (``_Subcommand``).
 """
 
 from __future__ import annotations
@@ -239,9 +238,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Subcommand:
-    """Builds a subcommand's parser on each use, also under the kept
-    top-level parser; argparse (3.10, 3.11) uses it only to parse, and
-    ``arguments`` then binds the current ``cmd_*``."""
+    """Builds a subcommand's parser on each use; argparse (3.10, 3.11) uses
+    it only to parse, and ``arguments`` then binds the current ``cmd_*``."""
 
     def __init__(self, arguments, **kwargs):
         self.arguments, self.kwargs = arguments, kwargs
@@ -305,7 +303,6 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new top-level parser; ``_run`` keeps the first one it builds."""
     parser = _Parser(prog="quiddity")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
@@ -328,15 +325,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
-_kept: list[argparse.ArgumentParser] = []  # the top-level parser of the first main call
-
-
 def _run(argv: Optional[Sequence[str]]) -> int:
     """Parse the command line and run its subcommand; the exit code."""
-    if not _kept:
-        _kept.append(build_parser())
     try:
-        args = _kept[0].parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

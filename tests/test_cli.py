@@ -418,8 +418,7 @@ def _eager_parser():
     return parser
 
 
-# help at every level, usage errors, abbreviations, and the decompose hint
-PARSER_CASES = [
+@pytest.mark.parametrize("argv", [
     [], ["-h"], ["--help"],
     *([name, "--help"] for name, _, _ in cli._COMMANDS),
     ["no-such-command"], ["verify"], ["verify", "1,1,1", "1,1,1"],
@@ -429,24 +428,12 @@ PARSER_CASES = [
     ["enumerate", "--problem", "II", "--n", "6", "--eng", "both", "--count"],
     ["decompose", "-1,0,0,-1"], ["decompose", "--", "-1,0,0,-1"],
     ["verify", "1,1,1", "-h"],
-]
-
-
-@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_lazy_parser_matches_eager_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     lazy = run(capsys, *argv)
-    built = []
-
-    def eager():
-        built.append(argv)
-        return _eager_parser()
-
-    # main keeps the first top-level parser it builds, so it must build anew
-    monkeypatch.setattr(cli, "_kept", [])
-    monkeypatch.setattr(cli, "build_parser", eager)
+    monkeypatch.setattr(cli, "build_parser", _eager_parser)
     assert run(capsys, *argv) == lazy
-    assert built == [argv]
 
 
 @pytest.mark.parametrize("argv, built", [
@@ -460,8 +447,7 @@ def test_lazy_parser_matches_eager_parser(capsys, monkeypatch, argv):
     (["--help"], 1),
 ], ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_builds_only_the_parser_that_runs(capsys, monkeypatch, argv, built):
-    # the first call builds the top-level parser, which main keeps, and the
-    # parser of the subcommand that runs; later calls build only the latter
+    # the top-level parser, and the parser of the subcommand that runs
     inits = []
     init = cli._Parser.__init__
 
@@ -469,67 +455,10 @@ def test_builds_only_the_parser_that_runs(capsys, monkeypatch, argv, built):
         inits.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    def calls(argv):
-        inits.clear()
-        main(argv)
-        capsys.readouterr()
-        return list(inits)
-
-    monkeypatch.setattr(cli, "_kept", [])
     monkeypatch.setattr(cli._Parser, "__init__", counted)
-    subcommand = [f"quiddity {argv[0]}"] if built == 2 else []
-    assert calls(argv) == ["quiddity"] + subcommand
-    assert calls(argv) == subcommand
-    assert calls(["--help"]) == calls(["no-such-command"]) == []
-
-
-_SUCCESSFUL_CALLS = [
-    ["verify", "1,1,2,1,1"], ["--format", "json", "verify", "1,1,2,1,1"],
-    ["frieze", "1,3,1,2,2"], ["--format", "json", "frieze", "1,1,2,1,1"],
-    ["dissect", "1,3,1,2,2", "--render", "dot"], ["--format", "json", "dissect", "1,1,1,1,2", "--all"],
-    ["enumerate", "--problem", "II", "--n", "5"], ["--format", "json", "farey", "4"],
-    ["--format", "json", "decompose", "--", "-1,0,0,-1"], ["decompose", "2,1,1,1"],
-]
-
-
-def test_kept_parser_matches_a_fresh_parser_in_any_order(capsys, monkeypatch):
-    # every call through the kept top-level parser prints what the same
-    # call prints through a parser built for it alone, whatever ran before
-    def call(columns, argv):
-        monkeypatch.setenv("COLUMNS", columns)  # help is wrapped when printed
-        return run(capsys, *argv)
-
-    def fresh(columns, argv):
-        monkeypatch.setattr(cli, "_kept", [])
-        return call(columns, argv)
-
-    cases = [("80", argv) for argv in PARSER_CASES + _SUCCESSFUL_CALLS]
-    rng = random.Random(33)
-    order = []
-    for _ in range(2):
-        rng.shuffle(cases)
-        order += cases
-        order += [
-            # a usage error, then a successful call
-            ("80", ["verify"]), ("80", ["verify", "1,1,2,1,1"]),
-            ("80", ["--format", "xml", "verify", "1,1,1"]), ("80", ["--format", "json", "farey", "4"]),
-            ("80", ["decompose", "-1,0,0,-1"]), ("80", ["frieze", "1,3,1,2,2"]),
-            # help, then a successful call
-            ("80", ["--help"]), ("80", ["decompose", "2,1,1,1"]),
-            ("80", ["verify", "1,1,1", "-h"]), ("80", ["--format", "json", "verify", "1,1,2,1,1"]),
-            # the terminal narrows between two help calls
-            ("80", ["--help"]), ("40", ["--help"]), ("80", ["enumerate", "--help"]),
-            ("40", ["enumerate", "--help"]),
-        ]
-    expected = {(columns, tuple(argv)): fresh(columns, argv) for columns, argv in order}
-    assert expected["80", ("--help",)] != expected["40", ("--help",)]
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "_kept", [])
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    for columns, argv in order:
-        assert call(columns, argv) == expected[columns, tuple(argv)], (columns, argv)
-    assert len(built) == 1
+    main(argv)
+    capsys.readouterr()
+    assert len(inits) == built, inits
 
 
 def test_dispatch_reads_the_module_binding(monkeypatch):
